@@ -15,6 +15,13 @@
 //! `hub_scaling`'s axes) so the trajectory captures tail latency under
 //! fleet growth, not just throughput.
 //!
+//! Beside the latency sits the standing cost of a session: bytes per
+//! idle session, the process's peak resident set (`VmHWM`) divided by
+//! the fleet size, read while the fleet is alive. The peak is
+//! process-wide, so a row is exact for the largest fleet run so far
+//! (fleets run smallest first) and includes the process baseline, which
+//! dominates small fleets. It is reported, not gated.
+//!
 //! `--quick` runs 1k and 10k; the full run adds 100k (~15 GB of session
 //! state). `MOSH_C100K_SESSIONS` (comma-separated) overrides the fleet
 //! sizes outright.
@@ -116,6 +123,20 @@ struct FleetResult {
     samples: usize,
     wakeups: u64,
     checkpoint_bytes: u64,
+    bytes_per_session: u64,
+}
+
+/// Peak resident set of this process in bytes (`VmHWM`), 0 where
+/// `/proc` is unavailable.
+fn peak_rss_bytes() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("VmHWM:"))
+                .and_then(|l| l.split_whitespace().nth(1)?.parse::<u64>().ok())
+        })
+        .map_or(0, |kb| kb * 1024)
 }
 
 fn key(i: usize) -> Base64Key {
@@ -200,6 +221,7 @@ fn run_fleet(
         }
     }
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let bytes_per_session = peak_rss_bytes() / n as u64;
 
     let mut samples: Vec<f64> = actives
         .iter()
@@ -215,6 +237,7 @@ fn run_fleet(
         samples: samples.len(),
         wakeups: stats.wakeups,
         checkpoint_bytes: stats.checkpoint_bytes,
+        bytes_per_session,
     }
 }
 
@@ -246,8 +269,14 @@ fn main() {
     println!("=== hub_c100k: mostly-idle fleets, bursty active subset ===");
     println!("  ({horizon} virtual ms per fleet, LAN links, {shards} shard(s), {cores} core(s))\n");
     println!(
-        "  {:>8}  {:>12}  {:>10}  {:>14}  {:>14}  {:>12}",
-        "sessions", "wall ms", "bursts", "p50 send (us)", "p99 send (us)", "wakeups/user"
+        "  {:>8}  {:>12}  {:>10}  {:>14}  {:>14}  {:>12}  {:>10}",
+        "sessions",
+        "wall ms",
+        "bursts",
+        "p50 send (us)",
+        "p99 send (us)",
+        "wakeups/user",
+        "KB/session"
     );
 
     let mut results = Vec::new();
@@ -255,13 +284,14 @@ fn main() {
         let active = 64.min(n);
         let r = run_fleet(n, shards, active, horizon, None);
         println!(
-            "  {:>8}  {:>12.1}  {:>10}  {:>14.1}  {:>14.1}  {:>12.1}",
+            "  {:>8}  {:>12.1}  {:>10}  {:>14.1}  {:>14.1}  {:>12.1}  {:>10.1}",
             r.sessions,
             r.wall_ms,
             r.samples,
             r.p50_us,
             r.p99_us,
             r.wakeups as f64 / r.sessions as f64,
+            r.bytes_per_session as f64 / 1024.0,
         );
         assert!(
             r.samples > 0 && r.p50_us > 0.0 && r.p99_us > 0.0,
@@ -308,13 +338,14 @@ fn main() {
         rows.push_str(&format!(
             "      {{\"sessions\": {}, \"wall_ms\": {:.3}, \"p50_wakeup_to_send_us\": {:.3}, \
              \"p99_wakeup_to_send_us\": {:.3}, \"latency_samples\": {}, \
-             \"wakeups_per_session\": {:.1}}}{}\n",
+             \"wakeups_per_session\": {:.1}, \"bytes_per_idle_session\": {}}}{}\n",
             r.sessions,
             r.wall_ms,
             r.p50_us,
             r.p99_us,
             r.samples,
             r.wakeups as f64 / r.sessions as f64,
+            r.bytes_per_session,
             if i + 1 == results.len() { "" } else { "," },
         ));
     }
@@ -353,10 +384,12 @@ fn main() {
 
     let last = results.last().expect("at least one fleet");
     println!(
-        "largest fleet: {} sessions, p50 {:.0} us / p99 {:.0} us wakeup-to-send ({})",
+        "largest fleet: {} sessions, p50 {:.0} us / p99 {:.0} us wakeup-to-send, \
+         {:.1} KB per idle session ({})",
         last.sessions,
         last.p50_us,
         last.p99_us,
+        last.bytes_per_session as f64 / 1024.0,
         if last.p99_us < 1e6 {
             "sub-second tail under full-fleet sweeps"
         } else {

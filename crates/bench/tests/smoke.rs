@@ -142,7 +142,13 @@ fn hub_c100k_quick() {
         env!("CARGO_BIN_EXE_hub_c100k"),
         Some(&dir),
         &[("MOSH_C100K_SESSIONS", "300")],
-        &["hub_c100k", "sessions", "p50 send (us)", "p99 send (us)"],
+        &[
+            "hub_c100k",
+            "sessions",
+            "p50 send (us)",
+            "p99 send (us)",
+            "KB/session",
+        ],
     );
     // Then hub_scaling writes into the same artifact: both sections must
     // survive the merge, with live p50/p99 latency numbers.
@@ -158,6 +164,8 @@ fn hub_c100k_quick() {
     assert!(p50 > 0.0, "p50 non-zero: {p50}");
     assert!(p99 > 0.0 && p99 >= p50, "p99 non-zero and ordered: {p99}");
     assert!(json_field(&json, "cores").expect("cores recorded") >= 1.0);
+    let per_session = json_field(&json, "bytes_per_idle_session").expect("bytes recorded");
+    assert!(per_session > 0.0, "bytes per idle session: {per_session}");
 
     // The checkpoint cadence sweep merges its own section: cadence axis
     // present, bytes recorded, and monotone (a shorter cadence never

@@ -212,10 +212,8 @@ impl MoshServer {
         }
         // Apply newly arrived user events to the application/terminal.
         // Split borrows twice over: the remote user stream is iterated in
-        // place (it holds every event of the session, so cloning it per
-        // datagram would cost ever more as the session ages), and the
-        // terminal is the transport's own current state, mutated in place
-        // alongside it.
+        // place, and the terminal is the transport's own current state,
+        // mutated in place alongside it.
         let Self {
             transport,
             app,
@@ -242,6 +240,10 @@ impl MoshServer {
             echo_queue.push_back((idx + 1, now));
             *applied_through = idx + 1;
         }
+        // Every stored input state now holds only applied events up to
+        // `applied_through`; drop them, so the receiver keeps (and clones
+        // per instruction) the in-flight window, not the whole session.
+        transport.subtract_remote(&UserStream::from_parts(*applied_through, Vec::new()));
     }
 
     /// Runs timers at `now`; returns datagrams to send to [`Self::target`].
@@ -321,7 +323,9 @@ impl MoshServer {
     /// is no polling floor — `Application::next_wakeup`'s contract is that
     /// `None` means no spontaneous output until input re-arms it, so a
     /// quiet session sleeps until its next real deadline instead of
-    /// burning a wakeup every 50 ms.
+    /// burning a wakeup every 50 ms. The transport's timers count only
+    /// once the client has spoken: before that `tick` cannot send, and
+    /// the client's first datagram wakes the session by arriving.
     pub fn next_wakeup(&self, now: Millis) -> Millis {
         let mut next = Millis::MAX;
         if let Some(t) = self.app.next_wakeup(now) {
@@ -333,8 +337,10 @@ impl MoshServer {
         if let Some(&(_, at)) = self.echo_queue.front() {
             next = next.min(at + ECHO_TIMEOUT);
         }
-        if let Some(t) = self.transport.next_wakeup() {
-            next = next.min(t);
+        if self.target.is_some() {
+            if let Some(t) = self.transport.next_wakeup() {
+                next = next.min(t);
+            }
         }
         next.max(now)
     }
@@ -871,12 +877,62 @@ mod tests {
         assert_eq!(client.remote_state().frame().row_text(0), "$");
     }
 
-    /// Builds a server mid-conversation: prompt on screen, one keystroke
-    /// applied, client address learned.
-    fn busy_server(client: &mut Transport<UserStream, CompleteTerminal>) -> MoshServer {
+    /// Input events the server's receiver retains across all its stored
+    /// states.
+    fn retained_events(server: &MoshServer) -> u64 {
+        server
+            .transport
+            .receiver_states()
+            .iter()
+            .map(|s| s.state.end_index() - s.state.base_index())
+            .sum()
+    }
+
+    #[test]
+    fn input_history_is_bounded_by_what_was_applied() {
+        let mut server = MoshServer::new(key(), Box::new(LineShell::new()));
+        let mut client = client_transport();
+        let keys = 10_000u64;
+        let mut typed = 0u64;
+        let mut peak = 0u64;
+        let mut now = 0;
+        while typed < keys
+            || client.pending_data()
+            || client.acked_state_num() < client.latest_sent_num()
+        {
+            if typed < keys && now % 2 == 0 {
+                let key: &[u8] = if typed % 50 == 49 { b"\r" } else { b"k" };
+                client.current_state_mut().push_keystroke(key);
+                client.commit_current(now);
+                typed += 1;
+            }
+            for w in client.tick(now) {
+                server.receive(now, client_addr(), &w);
+            }
+            for (_, w) in server.tick(now) {
+                let _ = client.receive(now, &w);
+            }
+            peak = peak.max(retained_events(&server));
+            now += 1;
+        }
+        assert_eq!(server.applied_through, keys, "every keystroke applied");
+        // Each advance prunes everything applied; only a reordered older
+        // state can hold events until the next advance. Without pruning,
+        // the two stored states hold ~20k events between them here.
+        assert!(peak <= 100, "receiver retained {peak} of {keys} events");
+    }
+
+    /// Builds a server mid-conversation: prompt on screen, `history`
+    /// typed (one keystroke per byte) and applied, client address learned.
+    fn busy_server(
+        client: &mut Transport<UserStream, CompleteTerminal>,
+        history: &[u8],
+    ) -> MoshServer {
         let mut server = MoshServer::new(key(), Box::new(LineShell::new()));
         let mut input = UserStream::new();
-        input.push_keystroke(b"l");
+        for k in history {
+            input.push_keystroke(&[*k]);
+        }
         client.set_current_state(input, 5);
         for now in 0..200 {
             for w in client.tick(now) {
@@ -891,16 +947,25 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_is_byte_identical_going_forward() {
+        // One applied keystroke, and a long history the receiver has
+        // already pruned down to nothing.
+        for history in [&b"l"[..], &[b'l'; 1_000][..]] {
+            snapshot_round_trip_from(history);
+        }
+    }
+
+    fn snapshot_round_trip_from(history: &[u8]) {
         let mut client = client_transport();
-        let mut server = busy_server(&mut client);
+        let mut server = busy_server(&mut client, history);
+        assert_eq!(server.applied_through, history.len() as u64);
+        assert_eq!(retained_events(&server), 0, "applied input is pruned");
         let body = server.checkpoint_body();
         let mut restored =
             MoshServer::decode_snapshot_body(&body, Box::new(LineShell::new())).expect("decodes");
 
         // Both servers see the same future (more typing plus quiet ticks);
         // their wire output must match byte for byte.
-        let mut input = UserStream::new();
-        input.push_keystroke(b"l");
+        let mut input = client.current_state().clone();
         input.push_keystroke(b"s");
         input.push_keystroke(b"\r");
         client.set_current_state(input, 200);
@@ -926,7 +991,7 @@ mod tests {
     #[test]
     fn checkpoint_caps_acks_at_checkpointed_input() {
         let mut client = client_transport();
-        let mut server = busy_server(&mut client);
+        let mut server = busy_server(&mut client, b"l");
         let ceiling = server.transport.ack_ceiling();
         assert_eq!(ceiling, None, "no cap before the first checkpoint");
         let _ = server.checkpoint_body();
@@ -940,7 +1005,7 @@ mod tests {
     #[test]
     fn snapshot_rejects_truncation_and_trailing_garbage() {
         let mut client = client_transport();
-        let mut server = busy_server(&mut client);
+        let mut server = busy_server(&mut client, b"l");
         let body = server.checkpoint_body();
         // Every truncation point fails cleanly (sampled stride keeps the
         // test fast; the boundaries near field edges are all hit).

@@ -470,7 +470,7 @@ impl PredictionEngine {
             }
             let mut cell = p.replacement;
             if self.flagging {
-                cell.attrs.underline = true;
+                cell.attrs.set(Attrs::UNDERLINE, true);
             }
             *frame.cell_mut(p.row, p.col) = cell;
         }
@@ -668,7 +668,7 @@ mod tests {
         let mut display = confirmed.clone();
         e.apply(&mut display);
         assert!(
-            display.cell(0, 3).attrs.underline,
+            display.cell(0, 3).attrs.has(Attrs::UNDERLINE),
             "unconfirmed predictions underline on slow links"
         );
     }
@@ -685,7 +685,7 @@ mod tests {
         e.apply(&mut display);
         // srtt_trigger hysteresis: still engaged (40 > 20) from before.
         assert_eq!(display.cell(0, 3).ch, 'y');
-        assert!(!display.cell(0, 3).attrs.underline);
+        assert!(!display.cell(0, 3).attrs.has(Attrs::UNDERLINE));
     }
 
     #[test]

@@ -6,6 +6,21 @@
 //! harmless by design — each is an idempotent fast-forward (paper §2.2) —
 //! and an instruction whose source is unknown is simply dropped (the sender
 //! will retransmit from an acknowledged state).
+//!
+//! # Rationalization
+//!
+//! A stored state is a whole object, so for an append-only object (the
+//! user's input history) every copy would grow with the session. The
+//! consumer of the states therefore *rationalizes* them, as the reference
+//! mosh transport does when the server takes its remote diff: once it has
+//! applied the events of the newest state, it calls
+//! [`Receiver::subtract`] with exactly the prefix it applied, and every
+//! stored copy drops that prefix. The invariant: prune only what the
+//! consumer has applied. The oldest stored state is *not* a safe prefix —
+//! a throwaway can advance it past events the consumer has not read yet,
+//! and pruning those would lose keystrokes for good. `subtract` keeps
+//! each state's end index, so diffs sourced from any stored state still
+//! apply.
 
 use crate::instruction::Instruction;
 use crate::sender::TimestampedState;
@@ -90,6 +105,15 @@ impl<R: SyncState> Receiver<R> {
     /// The newest state's number (this is what we acknowledge).
     pub fn latest_num(&self) -> u64 {
         self.states.last().expect("never empty").num
+    }
+
+    /// Rationalizes every stored state by `prefix`: history the consumer
+    /// has already applied and never needs again (see the module docs for
+    /// why it must never reach past what was applied).
+    pub fn subtract(&mut self, prefix: &R) {
+        for s in &mut self.states {
+            s.state.subtract(prefix);
+        }
     }
 
     /// Processes one instruction at `now`.

@@ -190,6 +190,13 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
         (self.sender.current_mut(), self.receiver.latest())
     }
 
+    /// Drops `prefix` from every stored remote state once the caller has
+    /// applied it (see [`Receiver::subtract`]): without this, an
+    /// append-only remote object keeps its whole history in each copy.
+    pub fn subtract_remote(&mut self, prefix: &R) {
+        self.receiver.subtract(prefix);
+    }
+
     /// The newest state received from the peer.
     pub fn remote_state(&self) -> &R {
         self.receiver.latest()

@@ -18,31 +18,90 @@ pub enum Color {
 }
 
 /// Graphic renditions applied to a cell (ECMA-48 SGR).
+///
+/// The eight on/off renditions are packed into one flags byte, bit 0 to
+/// bit 7 in SGR code order: bold, faint, italic, underline, blink,
+/// inverse, invisible, strikethrough (the `Attrs::BOLD`..
+/// `Attrs::STRIKETHROUGH` masks). That byte is also the wire and
+/// snapshot layout of the renditions ([`Attrs::bits`] /
+/// [`Attrs::from_bits`]), so frames and checkpoints written by any
+/// version decode the same way, and a [`Cell`] stays 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Attrs {
-    /// Bold / increased intensity (SGR 1).
-    pub bold: bool,
-    /// Faint / decreased intensity (SGR 2).
-    pub faint: bool,
-    /// Italicized (SGR 3).
-    pub italic: bool,
-    /// Underlined (SGR 4). Mosh uses this to flag unconfirmed predictions.
-    pub underline: bool,
-    /// Blinking (SGR 5).
-    pub blink: bool,
-    /// Negative image / reverse video (SGR 7).
-    pub inverse: bool,
-    /// Concealed (SGR 8).
-    pub invisible: bool,
-    /// Crossed-out (SGR 9).
-    pub strikethrough: bool,
+    flags: u8,
     /// Foreground color.
     pub fg: Color,
     /// Background color.
     pub bg: Color,
 }
 
+/// The on/off renditions with their SGR "set" codes, in flag-bit order.
+const FLAG_CODES: [(u8, &str); 8] = [
+    (Attrs::BOLD, "1"),
+    (Attrs::FAINT, "2"),
+    (Attrs::ITALIC, "3"),
+    (Attrs::UNDERLINE, "4"),
+    (Attrs::BLINK, "5"),
+    (Attrs::INVERSE, "7"),
+    (Attrs::INVISIBLE, "8"),
+    (Attrs::STRIKETHROUGH, "9"),
+];
+
 impl Attrs {
+    /// Bold / increased intensity (SGR 1).
+    pub const BOLD: u8 = 1;
+    /// Faint / decreased intensity (SGR 2).
+    pub const FAINT: u8 = 1 << 1;
+    /// Italicized (SGR 3).
+    pub const ITALIC: u8 = 1 << 2;
+    /// Underlined (SGR 4). Mosh uses this to flag unconfirmed predictions.
+    pub const UNDERLINE: u8 = 1 << 3;
+    /// Blinking (SGR 5).
+    pub const BLINK: u8 = 1 << 4;
+    /// Negative image / reverse video (SGR 7).
+    pub const INVERSE: u8 = 1 << 5;
+    /// Concealed (SGR 8).
+    pub const INVISIBLE: u8 = 1 << 6;
+    /// Crossed-out (SGR 9).
+    pub const STRIKETHROUGH: u8 = 1 << 7;
+
+    /// Renditions with the given flags byte and default colors.
+    pub const fn from_bits(flags: u8) -> Attrs {
+        Attrs {
+            flags,
+            fg: Color::Default,
+            bg: Color::Default,
+        }
+    }
+
+    /// What an erase leaves behind: the background color, nothing else.
+    pub const fn background(bg: Color) -> Attrs {
+        Attrs {
+            flags: 0,
+            fg: Color::Default,
+            bg,
+        }
+    }
+
+    /// The flags byte (the wire layout; see the type docs).
+    pub const fn bits(self) -> u8 {
+        self.flags
+    }
+
+    /// True when every rendition in `flags` is on.
+    pub const fn has(self, flags: u8) -> bool {
+        self.flags & flags == flags
+    }
+
+    /// Turns the renditions in `flags` on or off.
+    pub fn set(&mut self, flags: u8, on: bool) {
+        if on {
+            self.flags |= flags;
+        } else {
+            self.flags &= !flags;
+        }
+    }
+
     /// Renders the minimal SGR sequence that switches renditions from `self`
     /// to `target`.
     ///
@@ -56,14 +115,7 @@ impl Attrs {
         }
         // If any attribute must be turned *off*, a reset-and-set is simplest
         // and never longer than issuing individual "off" codes.
-        let needs_reset = (self.bold && !target.bold)
-            || (self.faint && !target.faint)
-            || (self.italic && !target.italic)
-            || (self.underline && !target.underline)
-            || (self.blink && !target.blink)
-            || (self.inverse && !target.inverse)
-            || (self.invisible && !target.invisible)
-            || (self.strikethrough && !target.strikethrough)
+        let needs_reset = self.flags & !target.flags != 0
             || (self.fg != target.fg && target.fg == Color::Default)
             || (self.bg != target.bg && target.bg == Color::Default);
         let base = if needs_reset { Attrs::default() } else { *self };
@@ -71,29 +123,11 @@ impl Attrs {
         if needs_reset {
             codes.push("0".to_string());
         }
-        if target.bold && !base.bold {
-            codes.push("1".to_string());
-        }
-        if target.faint && !base.faint {
-            codes.push("2".to_string());
-        }
-        if target.italic && !base.italic {
-            codes.push("3".to_string());
-        }
-        if target.underline && !base.underline {
-            codes.push("4".to_string());
-        }
-        if target.blink && !base.blink {
-            codes.push("5".to_string());
-        }
-        if target.inverse && !base.inverse {
-            codes.push("7".to_string());
-        }
-        if target.invisible && !base.invisible {
-            codes.push("8".to_string());
-        }
-        if target.strikethrough && !base.strikethrough {
-            codes.push("9".to_string());
+        let turned_on = target.flags & !base.flags;
+        for (flag, code) in FLAG_CODES {
+            if turned_on & flag != 0 {
+                codes.push(code.to_string());
+            }
         }
         if target.fg != base.fg {
             codes.push(fg_code(target.fg));
@@ -128,7 +162,9 @@ fn bg_code(c: Color) -> String {
     }
 }
 
-/// One character cell of the screen grid.
+/// One character cell of the screen grid: 16 bytes (a `char`, two flag
+/// `bool`s, and the 9-byte [`Attrs`]), pinned below because every screen
+/// row of every session is a vector of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Cell {
     /// The displayed character. A blank cell holds a space.
@@ -141,6 +177,8 @@ pub struct Cell {
     /// Graphic renditions.
     pub attrs: Attrs,
 }
+
+const _: () = assert!(std::mem::size_of::<Cell>() == 16);
 
 impl Default for Cell {
     fn default() -> Self {
@@ -191,7 +229,7 @@ mod tests {
     #[test]
     fn sgr_update_identity_is_empty() {
         let a = Attrs {
-            bold: true,
+            flags: Attrs::BOLD,
             fg: Color::Indexed(2),
             ..Attrs::default()
         };
@@ -201,19 +239,13 @@ mod tests {
     #[test]
     fn sgr_update_sets_single_attribute() {
         let plain = Attrs::default();
-        let bold = Attrs {
-            bold: true,
-            ..Attrs::default()
-        };
+        let bold = Attrs::from_bits(Attrs::BOLD);
         assert_eq!(plain.sgr_update(&bold), "\x1b[1m");
     }
 
     #[test]
     fn sgr_update_resets_when_turning_off() {
-        let bold = Attrs {
-            bold: true,
-            ..Attrs::default()
-        };
+        let bold = Attrs::from_bits(Attrs::BOLD);
         assert_eq!(bold.sgr_update(&Attrs::default()), "\x1b[0m");
     }
 
@@ -246,8 +278,7 @@ mod tests {
     fn sgr_update_combines_codes() {
         let plain = Attrs::default();
         let fancy = Attrs {
-            bold: true,
-            underline: true,
+            flags: Attrs::BOLD | Attrs::UNDERLINE,
             fg: Color::Indexed(4),
             ..Attrs::default()
         };
@@ -257,14 +288,11 @@ mod tests {
     #[test]
     fn sgr_update_reset_then_set() {
         let from = Attrs {
-            inverse: true,
+            flags: Attrs::INVERSE,
             fg: Color::Indexed(1),
             ..Attrs::default()
         };
-        let to = Attrs {
-            bold: true,
-            ..Attrs::default()
-        };
+        let to = Attrs::from_bits(Attrs::BOLD);
         // Inverse must go off -> reset, then bold on.
         assert_eq!(from.sgr_update(&to), "\x1b[0;1m");
     }

@@ -318,11 +318,7 @@ impl Differ {
 /// True if the attributes are producible by an erase operation: background
 /// color only, nothing else set.
 fn is_erase_style(attrs: &Attrs) -> bool {
-    let erased = Attrs {
-        bg: attrs.bg,
-        ..Attrs::default()
-    };
-    *attrs == erased
+    *attrs == Attrs::background(attrs.bg)
 }
 
 #[cfg(test)]

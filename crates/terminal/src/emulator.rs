@@ -16,13 +16,13 @@ use crate::parser::{Action, Parser};
 /// # Examples
 ///
 /// ```
-/// use mosh_terminal::Terminal;
+/// use mosh_terminal::{Attrs, Terminal};
 ///
 /// let mut term = Terminal::new(80, 24);
 /// term.write(b"hello\r\n\x1b[1mworld\x1b[0m");
 /// assert_eq!(term.frame().row_text(0), "hello");
 /// assert_eq!(term.frame().row_text(1), "world");
-/// assert!(term.frame().cell(1, 0).attrs.bold);
+/// assert!(term.frame().cell(1, 0).attrs.has(Attrs::BOLD));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Terminal {
@@ -344,24 +344,21 @@ impl Terminal {
         while i < params.len() {
             match params[i] {
                 0 => *pen = Attrs::default(),
-                1 => pen.bold = true,
-                2 => pen.faint = true,
-                3 => pen.italic = true,
-                4 => pen.underline = true,
-                5 | 6 => pen.blink = true,
-                7 => pen.inverse = true,
-                8 => pen.invisible = true,
-                9 => pen.strikethrough = true,
-                21 | 22 => {
-                    pen.bold = false;
-                    pen.faint = false;
-                }
-                23 => pen.italic = false,
-                24 => pen.underline = false,
-                25 => pen.blink = false,
-                27 => pen.inverse = false,
-                28 => pen.invisible = false,
-                29 => pen.strikethrough = false,
+                1 => pen.set(Attrs::BOLD, true),
+                2 => pen.set(Attrs::FAINT, true),
+                3 => pen.set(Attrs::ITALIC, true),
+                4 => pen.set(Attrs::UNDERLINE, true),
+                5 | 6 => pen.set(Attrs::BLINK, true),
+                7 => pen.set(Attrs::INVERSE, true),
+                8 => pen.set(Attrs::INVISIBLE, true),
+                9 => pen.set(Attrs::STRIKETHROUGH, true),
+                21 | 22 => pen.set(Attrs::BOLD | Attrs::FAINT, false),
+                23 => pen.set(Attrs::ITALIC, false),
+                24 => pen.set(Attrs::UNDERLINE, false),
+                25 => pen.set(Attrs::BLINK, false),
+                27 => pen.set(Attrs::INVERSE, false),
+                28 => pen.set(Attrs::INVISIBLE, false),
+                29 => pen.set(Attrs::STRIKETHROUGH, false),
                 30..=37 => pen.fg = Color::Indexed((params[i] - 30) as u8),
                 38 => {
                     if let Some((color, used)) = Self::extended_color(&params[i + 1..]) {
@@ -449,8 +446,8 @@ mod tests {
     fn sgr_sets_pen() {
         let t = term(b"\x1b[1;4;31;45mx");
         let attrs = t.frame().cell(0, 0).attrs;
-        assert!(attrs.bold);
-        assert!(attrs.underline);
+        assert!(attrs.has(Attrs::BOLD));
+        assert!(attrs.has(Attrs::UNDERLINE));
         assert_eq!(attrs.fg, Color::Indexed(1));
         assert_eq!(attrs.bg, Color::Indexed(5));
     }
@@ -466,8 +463,8 @@ mod tests {
     #[test]
     fn sgr_reset() {
         let t = term(b"\x1b[1mx\x1b[0my");
-        assert!(t.frame().cell(0, 0).attrs.bold);
-        assert!(!t.frame().cell(0, 1).attrs.bold);
+        assert!(t.frame().cell(0, 0).attrs.has(Attrs::BOLD));
+        assert!(!t.frame().cell(0, 1).attrs.has(Attrs::BOLD));
     }
 
     #[test]
@@ -699,7 +696,7 @@ mod tests {
         t.write(b"text line\x1b[5;1H\x1b[7m-- INSERT --\x1b[0m\x1b[1;10H");
         assert_eq!(t.frame().row_text(0), "text line");
         assert_eq!(t.frame().row_text(4), "-- INSERT --");
-        assert!(t.frame().cell(4, 0).attrs.inverse);
+        assert!(t.frame().cell(4, 0).attrs.has(Attrs::INVERSE));
         assert_eq!(t.frame().cursor.row, 0);
         assert_eq!(t.frame().cursor.col, 9);
     }

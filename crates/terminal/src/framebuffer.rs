@@ -95,11 +95,7 @@ pub enum RowDelta {
 impl Row {
     /// A row of blank cells carrying only the given background color.
     pub fn blank(width: usize, bg: crate::cell::Color) -> Self {
-        let attrs = Attrs {
-            bg,
-            ..Attrs::default()
-        };
-        Row::from_cells(vec![Cell::blank(attrs); width])
+        Row::from_cells(vec![Cell::blank(Attrs::background(bg)); width])
     }
 
     pub(crate) fn from_cells(cells: Vec<Cell>) -> Self {
@@ -508,10 +504,7 @@ impl Framebuffer {
 
     /// Blank cell carrying only the pen's background (BCE erase semantics).
     pub(crate) fn erase_cell(&self) -> Cell {
-        Cell::blank(Attrs {
-            bg: self.pen.bg,
-            ..Attrs::default()
-        })
+        Cell::blank(Attrs::background(self.pen.bg))
     }
 
     // ------------------------------------------------------------------
@@ -1492,34 +1485,16 @@ fn decode_color(r: &mut crate::wirefmt::Reader<'_>) -> Option<crate::cell::Color
 }
 
 fn encode_attrs(out: &mut Vec<u8>, a: &Attrs) {
-    out.push(
-        u8::from(a.bold)
-            | u8::from(a.faint) << 1
-            | u8::from(a.italic) << 2
-            | u8::from(a.underline) << 3
-            | u8::from(a.blink) << 4
-            | u8::from(a.inverse) << 5
-            | u8::from(a.invisible) << 6
-            | u8::from(a.strikethrough) << 7,
-    );
+    out.push(a.bits());
     encode_color(out, a.fg);
     encode_color(out, a.bg);
 }
 
 fn decode_attrs(r: &mut crate::wirefmt::Reader<'_>) -> Option<Attrs> {
-    let f = r.byte()?;
-    Some(Attrs {
-        bold: f & 1 != 0,
-        faint: f & 2 != 0,
-        italic: f & 4 != 0,
-        underline: f & 8 != 0,
-        blink: f & 16 != 0,
-        inverse: f & 32 != 0,
-        invisible: f & 64 != 0,
-        strikethrough: f & 128 != 0,
-        fg: decode_color(r)?,
-        bg: decode_color(r)?,
-    })
+    let mut a = Attrs::from_bits(r.byte()?);
+    a.fg = decode_color(r)?;
+    a.bg = decode_color(r)?;
+    Some(a)
 }
 
 fn encode_cell(out: &mut Vec<u8>, c: &Cell) {
@@ -1575,6 +1550,39 @@ fn decode_row(r: &mut crate::wirefmt::Reader<'_>, width: usize) -> Option<Row> {
 mod tests {
     use super::*;
     use crate::cell::Color;
+
+    /// Every flag combination keeps the byte the per-`bool` codec wrote
+    /// (bold in bit 0 through strikethrough in bit 7) and decodes back to
+    /// the same renditions, so frames and snapshots from either layout
+    /// are interchangeable.
+    #[test]
+    fn attrs_flags_byte_matches_the_per_flag_layout() {
+        let flags = [
+            Attrs::BOLD,
+            Attrs::FAINT,
+            Attrs::ITALIC,
+            Attrs::UNDERLINE,
+            Attrs::BLINK,
+            Attrs::INVERSE,
+            Attrs::INVISIBLE,
+            Attrs::STRIKETHROUGH,
+        ];
+        for bits in 0..=u8::MAX {
+            let mut a = Attrs::from_bits(bits);
+            a.fg = Color::Indexed(bits);
+            a.bg = Color::Rgb(1, 2, bits);
+            let per_flag = flags
+                .iter()
+                .enumerate()
+                .fold(0u8, |acc, (i, &f)| acc | u8::from(a.has(f)) << i);
+            let mut out = Vec::new();
+            encode_attrs(&mut out, &a);
+            assert_eq!(out[0], per_flag, "flags {bits:#010b}");
+            let mut r = crate::wirefmt::Reader::new(&out);
+            assert_eq!(decode_attrs(&mut r), Some(a));
+            assert_eq!(r.remaining(), 0);
+        }
+    }
 
     #[test]
     fn new_framebuffer_is_blank() {
@@ -1754,7 +1762,7 @@ mod tests {
         fb.pen.bg = Color::Indexed(4);
         fb.erase_line(2);
         assert_eq!(fb.cell(0, 0).attrs.bg, Color::Indexed(4));
-        assert!(!fb.cell(0, 0).attrs.bold);
+        assert!(!fb.cell(0, 0).attrs.has(Attrs::BOLD));
     }
 
     #[test]
@@ -1807,13 +1815,13 @@ mod tests {
     fn save_restore_cursor() {
         let mut fb = Framebuffer::new(10, 5);
         fb.move_to(2, 3);
-        fb.pen.bold = true;
+        fb.pen.set(Attrs::BOLD, true);
         fb.save_cursor();
         fb.move_to(0, 0);
-        fb.pen.bold = false;
+        fb.pen.set(Attrs::BOLD, false);
         fb.restore_cursor();
         assert_eq!(fb.cursor, Cursor { row: 2, col: 3 });
-        assert!(fb.pen.bold);
+        assert!(fb.pen.has(Attrs::BOLD));
     }
 
     #[test]
@@ -1865,7 +1873,7 @@ mod tests {
     fn equality_ignores_pen_and_region() {
         let mut a = Framebuffer::new(10, 5);
         let mut b = Framebuffer::new(10, 5);
-        a.pen.bold = true;
+        a.pen.set(Attrs::BOLD, true);
         a.set_scroll_region(2, 4);
         b.move_to(0, 0);
         a.move_to(0, 0);

@@ -138,6 +138,29 @@ fn idle_sessions_cost_linearly_never_quadratically() {
     );
 }
 
+#[test]
+fn server_awaiting_its_client_sleeps() {
+    // A server whose client never speaks has nowhere to send: its prompt
+    // write must not leave the sender's timer spinning the session every
+    // millisecond. Pre-contact cost is the app's own schedule (a handful
+    // of wakeups), independent of how long the client stays silent.
+    let wakeups = |horizon: u64| {
+        let mut hub = ServerHub::new(SimPoller::new());
+        let tok = hub.poller_mut().add(sim_world(1));
+        let sid = hub.add_session(tok);
+        let mut server = MoshServer::new(key(0), Box::new(LineShell::new()));
+        let mut parties = [Party::new(S, &mut server)];
+        hub.pump(&mut [HubSession::new(sid, &mut parties, horizon)]);
+        assert_eq!(server.target(), None, "the client never spoke");
+        assert_eq!(server.frame().row_text(0), "$", "the prompt was written");
+        hub.stats().wakeups
+    };
+    let short = wakeups(1_000);
+    let long = wakeups(20_000);
+    assert!(short < 10, "{short} wakeups in 1 s of silence");
+    assert_eq!(long, short, "silence must cost O(1) wakeups, not O(T)");
+}
+
 /// Eight real Mosh sessions behind ONE UDP server socket, one hub, one
 /// event loop — the multi-session loopback smoke test CI runs.
 #[test]

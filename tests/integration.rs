@@ -7,6 +7,7 @@ use mosh::core::{
 use mosh::crypto::Base64Key;
 use mosh::net::{Addr, LinkConfig, Network, Side, SimChannel};
 use mosh::prediction::DisplayPreference;
+use mosh::terminal::Attrs;
 
 struct Session {
     sl: SessionLoop<SimChannel>,
@@ -123,7 +124,10 @@ fn mail_navigation_syncs_highlight() {
     se.run(until);
     // The highlight (inverse video) sits on the third message (index 2).
     let f = se.client.server_frame();
-    assert!(f.cell(3, 0).attrs.inverse, "bar on row 3 after two 'n'");
+    assert!(
+        f.cell(3, 0).attrs.has(Attrs::INVERSE),
+        "bar on row 3 after two 'n'"
+    );
 }
 
 #[test]
