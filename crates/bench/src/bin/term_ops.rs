@@ -1,5 +1,5 @@
 //! Terminal hot-path throughput: damage-tracked frame diffing vs the
-//! full-scan oracle.
+//! full-scan oracle, and the emulator's parse/apply rate.
 //!
 //! The frame differ runs on every dirty tick of every session (paper
 //! §2.1/§3: the server ships *diffs between framebuffer states*), so at
@@ -23,16 +23,51 @@
 //!
 //! Every measured pair is first checked **byte-identical** between the
 //! damage path and the oracle — a fast-but-wrong diff fails the bin,
-//! not just CI. The enforced perf gates are ratios (wall-clock varies
-//! by machine): damage-tracked diffing must be ≥ 3× the oracle on the
-//! editor and mostly-idle traces. Results land in `BENCH_term.json`.
+//! not just CI. Each measurement window runs `REPEATS` times, damage and
+//! oracle windows alternating, and everything reported or gated is the
+//! median, printed with its quartiles. The enforced perf gates are ratios
+//! of medians (wall-clock varies by machine): damage-tracked diffing must
+//! be ≥ 3× the oracle on the editor and mostly-idle traces.
+//!
+//! The parse/apply rows feed three host-output streams through
+//! `Terminal::write` in 4 KiB chunks, as a server's PTY reads arrive:
+//! a `yes` flood, plain prose, and a CSI-heavy full-screen repaint. They
+//! report MB/s and carry no gate. Results land in `BENCH_term.json`.
 
-use mosh_bench::merge_bench_json;
+use mosh_bench::{merge_bench_json, percentile_us};
 use mosh_terminal::{display, Framebuffer, Terminal};
 use std::time::Instant;
 
 const WIDTH: usize = 80;
 const HEIGHT: usize = 24;
+/// Windows per measurement; reports and gates use their median.
+const REPEATS: usize = 5;
+/// Bytes per `Terminal::write` in the parse/apply rows (one PTY read).
+const CHUNK: usize = 4096;
+
+/// Median and quartiles of repeated measurements.
+struct Spread {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Spread {
+    fn of(mut samples: Vec<f64>) -> Self {
+        Spread {
+            q1: percentile_us(&mut samples, 25.0),
+            median: percentile_us(&mut samples, 50.0),
+            q3: percentile_us(&mut samples, 75.0),
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"median\": {:.1}, \"q1\": {:.1}, \"q3\": {:.1}}}",
+            self.median, self.q1, self.q3
+        )
+    }
+}
 
 /// One trace: consecutive framebuffer snapshots sharing row lineage
 /// (each is a COW clone of the live emulator frame, exactly like the
@@ -101,8 +136,8 @@ fn trace_mostly_idle(ticks: usize) -> Vec<Framebuffer> {
 
 struct TraceResult {
     name: &'static str,
-    damage_ns: f64,
-    full_ns: f64,
+    damage_ns: Spread,
+    full_ns: Spread,
     speedup: f64,
     damage_fps: f64,
     pairs: usize,
@@ -147,19 +182,95 @@ fn run_trace(name: &'static str, frames: &[Framebuffer], window_ms: u64) -> Trac
         );
     }
 
-    let damage_ns = ns_per_diff(frames, window_ms, |a, b| {
-        display::new_frame_into(true, a, b, &mut scratch);
-    });
-    let full_ns = ns_per_diff(frames, window_ms, |a, b| {
-        let _ = display::new_frame_full_scan(true, a, b);
-    });
+    let (mut damage, mut full) = (Vec::new(), Vec::new());
+    for _ in 0..REPEATS {
+        damage.push(ns_per_diff(frames, window_ms, |a, b| {
+            display::new_frame_into(true, a, b, &mut scratch);
+        }));
+        full.push(ns_per_diff(frames, window_ms, |a, b| {
+            let _ = display::new_frame_full_scan(true, a, b);
+        }));
+    }
+    let (damage_ns, full_ns) = (Spread::of(damage), Spread::of(full));
     TraceResult {
         name,
+        speedup: full_ns.median / damage_ns.median,
+        damage_fps: 1e9 / damage_ns.median,
         damage_ns,
         full_ns,
-        speedup: full_ns / damage_ns,
-        damage_fps: 1e9 / damage_ns,
         pairs: frames.len() - 1,
+    }
+}
+
+/// The runaway process of paper §2.3, shaped like the model shell's
+/// `yes`: lines of 1 to 40 `y`s.
+fn stream_flood() -> Vec<u8> {
+    let mut out = Vec::new();
+    for i in 0..2000 {
+        out.extend(std::iter::repeat_n(b'y', 1 + i % 40));
+        out.extend_from_slice(b"\r\n");
+    }
+    out
+}
+
+/// Prose scrolling past: lines of printable text, most of the width.
+fn stream_text() -> Vec<u8> {
+    let mut out = Vec::new();
+    for i in 0..800 {
+        out.extend_from_slice(
+            format!(
+                "{i:>5} The quick brown fox jumps over the lazy dog; pack my box with jugs.\r\n"
+            )
+            .as_bytes(),
+        );
+    }
+    out
+}
+
+/// A full-screen program repainting: every field is a cursor move, a
+/// rendition change and a few characters (a `top`-style refresh).
+fn stream_csi() -> Vec<u8> {
+    let mut out = Vec::new();
+    for frame in 0..40 {
+        out.extend_from_slice(b"\x1b[H");
+        for row in 1..=HEIGHT {
+            for field in 0..6 {
+                let color = 31 + (row + field + frame) % 7;
+                out.extend_from_slice(
+                    format!(
+                        "\x1b[{row};{}H\x1b[1;{color}m{:>5}\x1b[0m\x1b[K",
+                        1 + field * 13,
+                        (row * 7 + field * 3 + frame) % 10_000
+                    )
+                    .as_bytes(),
+                );
+            }
+        }
+    }
+    out
+}
+
+/// Megabytes of host output parsed and applied per second, writing
+/// `stream` in `CHUNK`-byte pieces into one terminal until `window_ms`
+/// of wall clock has elapsed.
+fn mb_per_s(stream: &[u8], window_ms: u64) -> f64 {
+    let mut term = Terminal::new(WIDTH, HEIGHT);
+    // Warm-up pass: fills the scrollback, so the window measures steady
+    // state.
+    for chunk in stream.chunks(CHUNK) {
+        term.write(chunk);
+    }
+    let start = Instant::now();
+    let mut bytes = 0usize;
+    loop {
+        for chunk in stream.chunks(CHUNK) {
+            term.write(chunk);
+        }
+        bytes += stream.len();
+        let elapsed = start.elapsed();
+        if elapsed.as_millis() as u64 >= window_ms {
+            return bytes as f64 / elapsed.as_secs_f64() / 1e6;
+        }
     }
 }
 
@@ -169,7 +280,7 @@ fn main() {
     let (ticks, window_ms): (usize, u64) = if quick { (96, 60) } else { (400, 400) };
 
     println!("=== term_ops: damage-tracked frame diffing vs the full-scan oracle ===");
-    println!("  ({WIDTH}x{HEIGHT} screen, {ticks} ticks per trace, {window_ms} ms per measurement; every pair byte-identity-checked)\n");
+    println!("  ({WIDTH}x{HEIGHT} screen, {ticks} ticks per trace, median of {REPEATS} windows of {window_ms} ms, [q1-q3]; every pair byte-identity-checked)\n");
 
     let traces = [
         run_trace("flood", &trace_flood(ticks), window_ms),
@@ -178,18 +289,44 @@ fn main() {
     ];
 
     println!(
-        "  {:>12}  {:>14}  {:>14}  {:>9}  {:>14}",
-        "trace", "damage ns/diff", "oracle ns/diff", "speedup", "damage fr/s"
+        "  {:>12}  {:>14}  {:>15}  {:>14}  {:>15}  {:>9}  {:>12}",
+        "trace", "damage ns/diff", "[q1-q3]", "oracle ns/diff", "[q1-q3]", "speedup", "damage fr/s"
     );
     for t in &traces {
         println!(
-            "  {:>12}  {:>14.0}  {:>14.0}  {:>8.1}x  {:>14.0}",
-            t.name, t.damage_ns, t.full_ns, t.speedup, t.damage_fps
+            "  {:>12}  {:>14.0}  {:>15}  {:>14.0}  {:>15}  {:>8.1}x  {:>12.0}",
+            t.name,
+            t.damage_ns.median,
+            format!("[{:.0}-{:.0}]", t.damage_ns.q1, t.damage_ns.q3),
+            t.full_ns.median,
+            format!("[{:.0}-{:.0}]", t.full_ns.q1, t.full_ns.q3),
+            t.speedup,
+            t.damage_fps
         );
     }
 
-    // The gates: interactive and idle shapes must repay the bookkeeping
-    // at least 3x; the flood shape must not pathologically regress. Only
+    let streams = [
+        ("flood", stream_flood()),
+        ("text", stream_text()),
+        ("csi", stream_csi()),
+    ];
+    println!("\n  parse/apply (Terminal::write, {CHUNK} B chunks; report only)");
+    println!("  {:>12}  {:>9}  {:>15}", "stream", "MB/s", "[q1-q3]");
+    let mut rates = Vec::new();
+    for (name, stream) in &streams {
+        let rate = Spread::of((0..REPEATS).map(|_| mb_per_s(stream, window_ms)).collect());
+        println!(
+            "  {:>12}  {:>9.1}  {:>15}",
+            name,
+            rate.median,
+            format!("[{:.1}-{:.1}]", rate.q1, rate.q3)
+        );
+        rates.push((*name, rate));
+    }
+
+    // The gates, on medians: interactive and idle shapes must repay the
+    // bookkeeping at least 3x; the flood shape must not pathologically
+    // regress. Only
     // meaningful in release — a debug build runs the differ's full
     // convergence `debug_assert` inside every damage-path diff, which is
     // exactly the scan the fast path exists to skip.
@@ -216,16 +353,36 @@ fn main() {
         sections.push((
             t.name,
             format!(
-                "{{\n    \"pairs\": {},\n    \"damage_ns_per_diff\": {:.1},\n    \
-                 \"full_scan_ns_per_diff\": {:.1},\n    \"speedup\": {:.2},\n    \
-                 \"damage_frames_per_sec\": {:.0}\n  }}",
-                t.pairs, t.damage_ns, t.full_ns, t.speedup, t.damage_fps
+                "{{\n    \"pairs\": {},\n    \"repeats\": {REPEATS},\n    \
+                 \"damage_ns_per_diff\": {:.1},\n    \"damage_ns_spread\": {},\n    \
+                 \"full_scan_ns_per_diff\": {:.1},\n    \"full_scan_ns_spread\": {},\n    \
+                 \"speedup\": {:.2},\n    \"damage_frames_per_sec\": {:.0}\n  }}",
+                t.pairs,
+                t.damage_ns.median,
+                t.damage_ns.json(),
+                t.full_ns.median,
+                t.full_ns.json(),
+                t.speedup,
+                t.damage_fps
             ),
         ));
     }
+    let rows: Vec<String> = rates
+        .iter()
+        .map(|(name, rate)| format!("\"{name}_mb_per_s\": {}", rate.json()))
+        .collect();
+    sections.push((
+        "parse_apply",
+        format!(
+            "{{\n    \"chunk_bytes\": {CHUNK},\n    \"repeats\": {REPEATS},\n    {}\n  }}",
+            rows.join(",\n    ")
+        ),
+    ));
     let path = std::path::Path::new("BENCH_term.json");
     match merge_bench_json(path, &sections) {
-        Ok(()) => println!("\nwrote flood/editor/mostly_idle sections to BENCH_term.json"),
+        Ok(()) => {
+            println!("\nwrote flood/editor/mostly_idle/parse_apply sections to BENCH_term.json")
+        }
         Err(e) => println!("\ncould not write BENCH_term.json: {e}"),
     }
 

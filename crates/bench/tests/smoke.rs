@@ -207,13 +207,28 @@ fn term_ops_quick() {
             "damage ns/diff",
             "oracle ns/diff",
             "mostly_idle",
+            "parse/apply",
+            "MB/s",
         ],
     );
     let json = std::fs::read_to_string(dir.join("BENCH_term.json")).expect("artifact");
-    for section in ["\"flood\"", "\"editor\"", "\"mostly_idle\""] {
+    for section in [
+        "\"flood\"",
+        "\"editor\"",
+        "\"mostly_idle\"",
+        "\"parse_apply\"",
+    ] {
         assert!(json.contains(section), "{section} section present:\n{json}");
     }
     assert!(json_field(&json, "damage_ns_per_diff").expect("damage ns recorded") > 0.0);
     assert!(json_field(&json, "speedup").expect("speedup recorded") > 0.0);
+    for stream in ["flood", "text", "csi"] {
+        let key = format!("\"{stream}_mb_per_s\":");
+        let at = json
+            .find(&key)
+            .unwrap_or_else(|| panic!("{key} recorded:\n{json}"));
+        let rate = json_field(&json[at..], "median").expect("median MB/s recorded");
+        assert!(rate > 0.0, "{stream} parse/apply rate:\n{json}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

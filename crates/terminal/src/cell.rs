@@ -102,16 +102,16 @@ impl Attrs {
         }
     }
 
-    /// Renders the minimal SGR sequence that switches renditions from `self`
-    /// to `target`.
+    /// Appends to `out` the minimal SGR sequence that switches renditions
+    /// from `self` to `target` (nothing when they are equal).
     ///
     /// Used by the display differ: it tracks the renditions the receiving
     /// terminal currently has and emits only what must change. Falls back to
     /// a full reset-and-set when clearing individual attributes would be
     /// longer.
-    pub fn sgr_update(&self, target: &Attrs) -> String {
+    pub fn sgr_update(&self, target: &Attrs, out: &mut String) {
         if self == target {
-            return String::new();
+            return;
         }
         // If any attribute must be turned *off*, a reset-and-set is simplest
         // and never longer than issuing individual "off" codes.
@@ -119,47 +119,52 @@ impl Attrs {
             || (self.fg != target.fg && target.fg == Color::Default)
             || (self.bg != target.bg && target.bg == Color::Default);
         let base = if needs_reset { Attrs::default() } else { *self };
-        let mut codes: Vec<String> = Vec::new();
+        let start = out.len();
+        out.push_str("\x1b[");
+        let mut sep = "";
         if needs_reset {
-            codes.push("0".to_string());
+            out.push('0');
+            sep = ";";
         }
         let turned_on = target.flags & !base.flags;
         for (flag, code) in FLAG_CODES {
             if turned_on & flag != 0 {
-                codes.push(code.to_string());
+                out.push_str(sep);
+                out.push_str(code);
+                sep = ";";
             }
         }
         if target.fg != base.fg {
-            codes.push(fg_code(target.fg));
+            out.push_str(sep);
+            push_color(out, target.fg, 30, 90, 38);
+            sep = ";";
         }
         if target.bg != base.bg {
-            codes.push(bg_code(target.bg));
+            out.push_str(sep);
+            push_color(out, target.bg, 40, 100, 48);
+            sep = ";";
         }
-        if codes.is_empty() {
-            return String::new();
+        if sep.is_empty() {
+            out.truncate(start);
+        } else {
+            out.push('m');
         }
-        format!("\x1b[{}m", codes.join(";"))
     }
 }
 
-fn fg_code(c: Color) -> String {
-    match c {
-        Color::Default => "39".to_string(),
-        Color::Indexed(n @ 0..=7) => format!("{}", 30 + u16::from(n)),
-        Color::Indexed(n @ 8..=15) => format!("{}", 90 + u16::from(n) - 8),
-        Color::Indexed(n) => format!("38;5;{n}"),
-        Color::Rgb(r, g, b) => format!("38;2;{r};{g};{b}"),
-    }
-}
-
-fn bg_code(c: Color) -> String {
-    match c {
-        Color::Default => "49".to_string(),
-        Color::Indexed(n @ 0..=7) => format!("{}", 40 + u16::from(n)),
-        Color::Indexed(n @ 8..=15) => format!("{}", 100 + u16::from(n) - 8),
-        Color::Indexed(n) => format!("48;5;{n}"),
-        Color::Rgb(r, g, b) => format!("48;2;{r};{g};{b}"),
-    }
+/// Appends the SGR code selecting color `c` in one plane: `base` is 30
+/// (foreground) or 40 (background), `bright` 90 or 100, and `extended`
+/// 38 or 48.
+fn push_color(out: &mut String, c: Color, base: u16, bright: u16, extended: u16) {
+    use std::fmt::Write as _;
+    // Writing to a `String` cannot fail.
+    let _ = match c {
+        Color::Default => write!(out, "{}", base + 9),
+        Color::Indexed(n @ 0..=7) => write!(out, "{}", base + u16::from(n)),
+        Color::Indexed(n @ 8..=15) => write!(out, "{}", bright + u16::from(n) - 8),
+        Color::Indexed(n) => write!(out, "{extended};5;{n}"),
+        Color::Rgb(r, g, b) => write!(out, "{extended};2;{r};{g};{b}"),
+    };
 }
 
 /// One character cell of the screen grid: 16 bytes (a `char`, two flag
@@ -218,6 +223,13 @@ impl Cell {
 mod tests {
     use super::*;
 
+    /// The SGR sequence taking `from` to `to`.
+    fn sgr(from: &Attrs, to: &Attrs) -> String {
+        let mut out = String::new();
+        from.sgr_update(to, &mut out);
+        out
+    }
+
     #[test]
     fn default_cell_is_blank_space() {
         let c = Cell::default();
@@ -233,20 +245,20 @@ mod tests {
             fg: Color::Indexed(2),
             ..Attrs::default()
         };
-        assert_eq!(a.sgr_update(&a), "");
+        assert_eq!(sgr(&a, &a), "");
     }
 
     #[test]
     fn sgr_update_sets_single_attribute() {
         let plain = Attrs::default();
         let bold = Attrs::from_bits(Attrs::BOLD);
-        assert_eq!(plain.sgr_update(&bold), "\x1b[1m");
+        assert_eq!(sgr(&plain, &bold), "\x1b[1m");
     }
 
     #[test]
     fn sgr_update_resets_when_turning_off() {
         let bold = Attrs::from_bits(Attrs::BOLD);
-        assert_eq!(bold.sgr_update(&Attrs::default()), "\x1b[0m");
+        assert_eq!(sgr(&bold, &Attrs::default()), "\x1b[0m");
     }
 
     #[test]
@@ -256,22 +268,22 @@ mod tests {
             fg: Color::Indexed(1),
             ..Attrs::default()
         };
-        assert_eq!(plain.sgr_update(&red), "\x1b[31m");
+        assert_eq!(sgr(&plain, &red), "\x1b[31m");
         let bright = Attrs {
             fg: Color::Indexed(9),
             ..Attrs::default()
         };
-        assert_eq!(plain.sgr_update(&bright), "\x1b[91m");
+        assert_eq!(sgr(&plain, &bright), "\x1b[91m");
         let indexed = Attrs {
             fg: Color::Indexed(200),
             ..Attrs::default()
         };
-        assert_eq!(plain.sgr_update(&indexed), "\x1b[38;5;200m");
+        assert_eq!(sgr(&plain, &indexed), "\x1b[38;5;200m");
         let rgb = Attrs {
             bg: Color::Rgb(1, 2, 3),
             ..Attrs::default()
         };
-        assert_eq!(plain.sgr_update(&rgb), "\x1b[48;2;1;2;3m");
+        assert_eq!(sgr(&plain, &rgb), "\x1b[48;2;1;2;3m");
     }
 
     #[test]
@@ -282,7 +294,7 @@ mod tests {
             fg: Color::Indexed(4),
             ..Attrs::default()
         };
-        assert_eq!(plain.sgr_update(&fancy), "\x1b[1;4;34m");
+        assert_eq!(sgr(&plain, &fancy), "\x1b[1;4;34m");
     }
 
     #[test]
@@ -294,6 +306,6 @@ mod tests {
         };
         let to = Attrs::from_bits(Attrs::BOLD);
         // Inverse must go off -> reset, then bold on.
-        assert_eq!(from.sgr_update(&to), "\x1b[0;1m");
+        assert_eq!(sgr(&from, &to), "\x1b[0;1m");
     }
 }

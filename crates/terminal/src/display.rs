@@ -12,13 +12,10 @@
 //! `apply(new_frame(init, a, b), a) == b`, which the property tests in
 //! `tests/` check against randomized screens.
 
+use std::fmt::Write as _;
+
 use crate::cell::Attrs;
 use crate::framebuffer::{Framebuffer, Row, RowDelta};
-
-/// The CUP sequence addressing a 0-based `(row, col)` position.
-fn goto_sequence(row: usize, col: usize) -> String {
-    format!("\x1b[{};{}H", row + 1, col + 1)
-}
 
 /// Minimum run of trailing blanks for which erase-to-end-of-line is used
 /// instead of printing spaces.
@@ -167,7 +164,7 @@ fn frame_diff(
     if same_canvas {
         if let Some(k) = detect_scroll(&d.sim, target, use_damage) {
             d.set_attrs(Attrs::default());
-            d.out.push_str(&format!("\x1b[{k}S"));
+            let _ = write!(d.out, "\x1b[{k}S");
             d.sim.scroll_up(k);
         }
     }
@@ -246,7 +243,8 @@ impl Differ {
         if self.sim.cursor.row == row && self.sim.cursor.col == col && !self.sim.wrap_pending() {
             return;
         }
-        self.out.push_str(&goto_sequence(row, col));
+        // CUP, 1-based. Writing to a `String` cannot fail.
+        let _ = write!(self.out, "\x1b[{};{}H", row + 1, col + 1);
         self.sim.move_to(row, col);
     }
 
@@ -257,8 +255,7 @@ impl Differ {
             self.sim.pen = Attrs::default();
             self.attrs_known = true;
         }
-        let update = self.sim.pen.sgr_update(&target);
-        self.out.push_str(&update);
+        self.sim.pen.sgr_update(&target, &mut self.out);
         self.sim.pen = target;
     }
 
@@ -267,24 +264,33 @@ impl Differ {
     /// range — callers pass the full width unless a damage proof guarantees
     /// the outside columns are already identical (in which case skipping
     /// them without comparing changes nothing but the cost).
+    ///
+    /// Spans are laid out from column 0 (a wide lead covers two columns), so
+    /// the walk starts at the last column at or before `lo` that the layout
+    /// from column 0 also starts a span at: any column whose left neighbour
+    /// is not a wide lead. From there it visits exactly the spans the
+    /// layout from column 0 would, and it stops after `hi`.
     fn diff_row(&mut self, row: usize, target: &Framebuffer, lo: usize, hi: usize) {
         let width = target.width();
-        let mut col = 0;
-        while col < width {
-            let tcell = *target.cell(row, col);
+        let cells = target.row(row).cells();
+        let mut col = lo;
+        while col > 0 && cells[col - 1].wide {
+            col -= 1;
+        }
+        while col <= hi {
+            let tcell = cells[col];
             if tcell.wide_continuation {
                 col += 1;
                 continue;
             }
             let span = if tcell.wide { 2 } else { 1 };
-            if col + span <= lo || col > hi {
+            if col + span <= lo {
                 col += span;
                 continue;
             }
             let matches = *self.sim.cell(row, col) == tcell
                 && (span == 1
-                    || (col + 1 < width
-                        && *self.sim.cell(row, col + 1) == *target.cell(row, col + 1)));
+                    || (col + 1 < width && *self.sim.cell(row, col + 1) == cells[col + 1]));
             if matches {
                 col += span;
                 continue;
@@ -293,10 +299,9 @@ impl Differ {
             // Trailing-blank run: erase to end of line when long enough and
             // the blanks carry only a background color (EL semantics).
             if tcell.is_blank() && is_erase_style(&tcell.attrs) {
-                let run_uniform = (col..width).all(|c| {
-                    let cell = target.cell(row, c);
-                    cell.is_blank() && cell.attrs == tcell.attrs
-                });
+                let run_uniform = cells[col..]
+                    .iter()
+                    .all(|cell| cell.is_blank() && cell.attrs == tcell.attrs);
                 if run_uniform && width - col >= EL_THRESHOLD {
                     self.set_attrs(tcell.attrs);
                     self.goto(row, col);

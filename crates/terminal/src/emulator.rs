@@ -1,4 +1,4 @@
-//! The terminal emulator: parser actions dispatched onto the framebuffer.
+//! The terminal emulator: the parser's sink calls applied to the framebuffer.
 //!
 //! [`Terminal`] is the complete character-cell emulator of paper §3.1: it
 //! implements the subset of ECMA-48 / ISO 6429 used by xterm,
@@ -9,7 +9,7 @@
 
 use crate::cell::{Attrs, Color};
 use crate::framebuffer::Framebuffer;
-use crate::parser::{Action, Parser};
+use crate::parser::{Parser, Perform};
 
 /// A full terminal: byte-stream in, screen state out.
 ///
@@ -52,10 +52,12 @@ impl Terminal {
 
     /// Parses and applies a chunk of host output.
     pub fn write(&mut self, bytes: &[u8]) {
-        let actions = self.parser.input(bytes);
-        for action in actions {
-            self.perform(&action);
-        }
+        self.parser.advance(
+            bytes,
+            &mut Dispatch {
+                frame: &mut self.frame,
+            },
+        );
     }
 
     /// Resizes the screen (window-size change propagated by the server).
@@ -93,27 +95,23 @@ impl Terminal {
         }
         Some(Terminal { parser, frame })
     }
+}
 
-    /// Applies one parsed action.
-    pub fn perform(&mut self, action: &Action) {
-        match action {
-            Action::Print(c) => self.frame.print(*c),
-            Action::Control(b) => self.control(*b),
-            Action::Esc {
-                intermediates,
-                byte,
-            } => self.esc(intermediates, *byte),
-            Action::Csi {
-                private,
-                params,
-                intermediates,
-                byte,
-            } => self.csi(*private, params, intermediates, *byte),
-            Action::Osc { data } => self.osc(data),
-        }
+/// The parser's sink: applies each dispatched unit to the framebuffer.
+struct Dispatch<'a> {
+    frame: &'a mut Framebuffer,
+}
+
+impl Perform for Dispatch<'_> {
+    fn print(&mut self, c: char) {
+        self.frame.print(c);
     }
 
-    fn control(&mut self, b: u8) {
+    fn print_ascii(&mut self, run: &[u8]) {
+        self.frame.print_ascii(run);
+    }
+
+    fn execute(&mut self, b: u8) {
         match b {
             0x07 => self.frame.ring_bell(),
             0x08 => self.frame.move_relative(0, -1),
@@ -132,7 +130,7 @@ impl Terminal {
         }
     }
 
-    fn esc(&mut self, intermediates: &[u8], byte: u8) {
+    fn esc_dispatch(&mut self, intermediates: &[u8], byte: u8) {
         match (intermediates, byte) {
             ([], b'7') => self.frame.save_cursor(),
             ([], b'8') => self.frame.restore_cursor(),
@@ -157,7 +155,13 @@ impl Terminal {
         }
     }
 
-    fn csi(&mut self, private: Option<u8>, params: &[u16], intermediates: &[u8], byte: u8) {
+    fn csi_dispatch(
+        &mut self,
+        private: Option<u8>,
+        params: &[u16],
+        intermediates: &[u8],
+        byte: u8,
+    ) {
         if !intermediates.is_empty() {
             // DECSCUSR and friends: not part of the synchronized state.
             return;
@@ -169,6 +173,15 @@ impl Terminal {
         }
     }
 
+    fn osc_dispatch(&mut self, data: &[u8]) {
+        let s = String::from_utf8_lossy(data);
+        if let Some(rest) = s.strip_prefix("0;").or_else(|| s.strip_prefix("2;")) {
+            self.frame.set_title(rest.to_string());
+        }
+    }
+}
+
+impl Dispatch<'_> {
     /// First parameter with default, treating 0 as the default (most CSI
     /// sequences treat both absent and zero as 1).
     fn p1(params: &[u16], default: u16) -> usize {
@@ -398,13 +411,6 @@ impl Terminal {
                 Some((Color::Rgb(r, g, b), 4))
             }
             _ => None,
-        }
-    }
-
-    fn osc(&mut self, data: &[u8]) {
-        let s = String::from_utf8_lossy(data);
-        if let Some(rest) = s.strip_prefix("0;").or_else(|| s.strip_prefix("2;")) {
-            self.frame.set_title(rest.to_string());
         }
     }
 }

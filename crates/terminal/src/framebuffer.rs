@@ -29,6 +29,14 @@
 //! Scrollback and the offset ride session snapshots, so they survive
 //! migration and checkpoint/resurrect, but they are *not* part of
 //! framebuffer equality: SSP synchronizes the visible screen only.
+//!
+//! Once the scrollback is full, each primary-screen scroll evicts its
+//! oldest row, and that row's storage becomes the blank row entering at
+//! the bottom — but only when the handle is uniquely owned
+//! (`Arc::get_mut`): a row a retained snapshot still shares is left to
+//! that snapshot and a new row is allocated instead. A reused row starts
+//! a new lineage under a fresh damage id, exactly like a newly allocated
+//! one, so no damage claim can ever link it to the history line it was.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,6 +78,27 @@ struct RowData {
     dirty_hi: u32,
 }
 
+impl RowData {
+    /// Storage starting a new lineage: a fresh id, nothing dirty.
+    fn new(cells: Vec<Cell>) -> Self {
+        let stamp = next_stamp();
+        RowData {
+            cells,
+            id: stamp,
+            gen: stamp,
+            range_base: stamp,
+            dirty_lo: u32::MAX,
+            dirty_hi: 0,
+        }
+    }
+
+    /// Widens the dirty range to cover the inclusive column span.
+    fn mark(&mut self, lo: usize, hi: usize) {
+        self.dirty_lo = self.dirty_lo.min(lo as u32);
+        self.dirty_hi = self.dirty_hi.max(hi as u32);
+    }
+}
+
 /// One row of the grid: a copy-on-write handle to shared cell storage.
 ///
 /// Cloning is O(1); the first mutation after a clone copies the cells
@@ -99,17 +128,22 @@ impl Row {
     }
 
     pub(crate) fn from_cells(cells: Vec<Cell>) -> Self {
-        let stamp = next_stamp();
         Row {
-            data: Arc::new(RowData {
-                cells,
-                id: stamp,
-                gen: stamp,
-                range_base: stamp,
-                dirty_lo: u32::MAX,
-                dirty_hi: 0,
-            }),
+            data: Arc::new(RowData::new(cells)),
         }
+    }
+
+    /// This row's storage blanked for reuse under a fresh damage id, when
+    /// no other handle shares it; otherwise a newly allocated blank row.
+    fn reblank(mut self, width: usize, bg: crate::cell::Color) -> Self {
+        let Some(d) = Arc::get_mut(&mut self.data) else {
+            return Row::blank(width, bg);
+        };
+        let mut cells = std::mem::take(&mut d.cells);
+        cells.clear();
+        cells.resize(width, Cell::blank(Attrs::background(bg)));
+        *d = RowData::new(cells);
+        self
     }
 
     /// The row's cells, always exactly the screen width.
@@ -123,10 +157,10 @@ impl Row {
     }
 
     /// Damage-stamped mutable access: copies shared storage (restarting the
-    /// dirty range, since the shared snapshot is the new comparison base),
-    /// takes a fresh generation stamp, and widens the dirty range to cover
-    /// the inclusive column span `[lo, hi]`.
-    fn touch(&mut self, lo: usize, hi: usize) -> &mut Vec<Cell> {
+    /// dirty range, since the shared snapshot is the new comparison base)
+    /// and takes a fresh generation stamp. The caller must [`RowData::mark`]
+    /// every column it changes.
+    fn stamp(&mut self) -> &mut RowData {
         // `strong_count == 1` means no other handle exists that anyone could
         // clone from, so the flag cannot go stale before `make_mut` below.
         let shared = Arc::strong_count(&self.data) > 1;
@@ -137,8 +171,14 @@ impl Row {
             d.dirty_hi = 0;
         }
         d.gen = next_stamp();
-        d.dirty_lo = d.dirty_lo.min(lo as u32);
-        d.dirty_hi = d.dirty_hi.max(hi as u32);
+        d
+    }
+
+    /// [`Self::stamp`], with the dirty range widened to cover the inclusive
+    /// column span `[lo, hi]` up front.
+    fn touch(&mut self, lo: usize, hi: usize) -> &mut Vec<Cell> {
+        let d = self.stamp();
+        d.mark(lo, hi);
         &mut d.cells
     }
 
@@ -567,6 +607,18 @@ impl Framebuffer {
         }
     }
 
+    /// The oldest history row, removed when a primary-screen scroll is
+    /// about to evict it anyway (the scrollback is full), so its storage
+    /// can be reused.
+    fn take_full_history_front(&mut self) -> Option<Row> {
+        let full = self.scrollback_limit > 0 && self.scrollback.len() == self.scrollback_limit;
+        if full && self.alt_saved.is_none() {
+            self.scrollback.pop_front()
+        } else {
+            None
+        }
+    }
+
     /// Retires a row evicted off the top of the primary screen into
     /// scrollback. A scrolled-back viewport stays anchored on the same
     /// history lines by following the eviction.
@@ -685,6 +737,41 @@ impl Framebuffer {
         }
     }
 
+    /// Prints a run of printable ASCII (0x20–0x7e) exactly as [`Self::print`]
+    /// would byte by byte, but a row segment at a time under one damage
+    /// stamp. Insert mode, line drawing and disabled autowrap take the
+    /// per-character path.
+    pub(crate) fn print_ascii(&mut self, run: &[u8]) {
+        if self.modes.insert || self.line_drawing || !self.modes.autowrap {
+            for &b in run {
+                self.print(char::from(b));
+            }
+            return;
+        }
+        let Some(&last) = run.last() else {
+            return;
+        };
+        let mut rest = run;
+        while !rest.is_empty() {
+            if self.wrap_pending {
+                self.cursor.col = 0;
+                self.line_feed();
+            }
+            let col = self.cursor.col;
+            let (segment, tail) = rest.split_at(rest.len().min(self.width - col));
+            self.put_segment(self.cursor.row, col, segment);
+            rest = tail;
+            let new_col = col + segment.len();
+            if new_col == self.width {
+                self.cursor.col = self.width - 1;
+                self.wrap_pending = true;
+            } else {
+                self.cursor.col = new_col;
+            }
+        }
+        self.last_printed = Some(char::from(last));
+    }
+
     /// Repeats the last printed character `n` times (REP).
     pub fn repeat_last(&mut self, n: usize) {
         if let Some(ch) = self.last_printed {
@@ -719,6 +806,30 @@ impl Framebuffer {
             cells[col - 1] = erase;
         }
         cells[col] = cell;
+    }
+
+    /// [`Self::put_cell`] of each ASCII byte of `segment` at consecutive
+    /// columns from `col`, in order, under one damage stamp whose range is
+    /// the exact union of the spans the per-cell writes would dirty.
+    fn put_segment(&mut self, row: usize, col: usize, segment: &[u8]) {
+        let erase = self.erase_cell();
+        let pen = self.pen;
+        let width = self.width;
+        let d = self.grid.get_mut(row).stamp();
+        let (mut lo, mut hi) = (col, col + segment.len() - 1);
+        for (c, &b) in (col..).zip(segment) {
+            let old = d.cells[c];
+            if old.wide && c + 1 < width {
+                d.cells[c + 1] = erase;
+                hi = hi.max(c + 1);
+            }
+            if old.wide_continuation && c > 0 {
+                d.cells[c - 1] = erase;
+                lo = lo.min(c - 1);
+            }
+            d.cells[c] = Cell::narrow(char::from(b), pen);
+        }
+        d.mark(lo, hi);
     }
 
     /// Fills the inclusive column span with the erase cell, extending to a
@@ -769,14 +880,19 @@ impl Framebuffer {
 
     /// Scrolls the scroll region up by `n` lines (text moves up). With the
     /// full screen as the region this is O(1) ring rotation per line, and
-    /// on the primary screen the evicted top row retires into scrollback.
+    /// on the primary screen the evicted top row retires into scrollback
+    /// (reusing the storage of the history row that falls off, see the
+    /// module docs).
     pub fn scroll_up(&mut self, n: usize) {
         let n = n.min(self.scroll_bottom - self.scroll_top + 1);
         let bg = self.pen.bg;
         let full_screen = self.scroll_top == 0 && self.scroll_bottom == self.height - 1;
         for _ in 0..n {
-            let fresh = Row::blank(self.width, bg);
             if full_screen {
+                let fresh = match self.take_full_history_front() {
+                    Some(oldest) => oldest.reblank(self.width, bg),
+                    None => Row::blank(self.width, bg),
+                };
                 let evicted = self.grid.rotate_up(fresh);
                 if self.alt_saved.is_none() {
                     self.push_history(evicted);
@@ -787,7 +903,7 @@ impl Framebuffer {
                 for r in self.scroll_top..self.scroll_bottom {
                     self.grid.swap(r, r + 1);
                 }
-                *self.grid.get_mut(self.scroll_bottom) = fresh;
+                *self.grid.get_mut(self.scroll_bottom) = Row::blank(self.width, bg);
             }
         }
     }
@@ -2002,6 +2118,43 @@ mod tests {
             fb.line_feed();
         }
         assert_eq!(fb.scrollback_len(), 4);
+    }
+
+    #[test]
+    fn full_scrollback_reuses_the_evicted_row_under_a_fresh_id() {
+        let mut fb = Framebuffer::new(4, 2);
+        fb.set_scrollback_limit(2);
+        for _ in 0..2 {
+            fb.move_to(1, 0);
+            fb.line_feed();
+        }
+        fb.move_to(0, 0);
+        fb.print('x');
+        let oldest = Arc::as_ptr(&fb.history_row(1).data);
+        let oldest_id = fb.history_row(1).data.id;
+        fb.pen.bg = Color::Indexed(3);
+        fb.move_to(1, 0);
+        fb.line_feed();
+        let fresh = fb.row(1);
+        assert_eq!(Arc::as_ptr(&fresh.data), oldest, "storage reused");
+        assert_ne!(fresh.data.id, oldest_id, "reused row starts a new lineage");
+        assert_eq!(fresh, &Row::blank(4, Color::Indexed(3)));
+        assert_eq!(fb.scrollback_len(), 2);
+        assert_eq!(fb.history_row(0).cells()[0].ch, 'x');
+    }
+
+    #[test]
+    fn shared_history_row_is_not_reused() {
+        let mut fb = Framebuffer::new(4, 2);
+        fb.set_scrollback_limit(1);
+        fb.move_to(1, 0);
+        fb.line_feed();
+        let snap = fb.clone();
+        fb.move_to(1, 0);
+        fb.line_feed();
+        assert!(!Row::same_data(fb.row(1), snap.history_row(0)));
+        assert_eq!(snap.history_row(0), &Row::blank(4, Color::Default));
+        assert_eq!(fb.row(1).delta_from(snap.history_row(0)), RowDelta::Unknown);
     }
 
     #[test]

@@ -5,9 +5,25 @@
 //! most states and CAN/SUB/ESC aborting collection. Input is decoded from
 //! UTF-8 first, as Mosh does, so C1 controls arrive as single code points.
 //!
+//! # The sink contract
+//!
+//! [`Parser::advance`] builds no list of actions: it calls a [`Perform`]
+//! sink once per completed unit, in input order. Sequence payloads reach
+//! the sink as slices borrowed from the parser's own collection buffers,
+//! which are cleared (never taken) after each dispatch, so once those
+//! buffers have grown to their bounds no sequence allocates. A slice is
+//! only valid for the duration of the call.
+//!
+//! In the ground state with no UTF-8 bytes pending, a maximal run of
+//! printable ASCII (0x20–0x7e) goes to [`Perform::print_ascii`] as one
+//! call. That is exactly the sequence of [`Perform::print`] calls the
+//! state machine would make byte by byte, so a sink may handle it either
+//! way; how the input is split across `advance` calls can split a run,
+//! but never changes what is printed.
+//!
 //! The parser is deliberately total: **any** byte sequence produces a
-//! well-defined stream of [`Action`]s and never panics — a property test in
-//! `tests/` feeds it arbitrary bytes.
+//! well-defined stream of sink calls and never panics — a property test
+//! in `tests/` feeds it arbitrary bytes.
 
 use crate::utf8::Utf8Decoder;
 
@@ -18,28 +34,42 @@ const MAX_INTERMEDIATES: usize = 2;
 /// Upper bound on OSC string payloads.
 const MAX_OSC: usize = 1024;
 
-/// A parsed terminal action, ready for dispatch onto the framebuffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Action {
-    /// Print one character at the cursor.
-    Print(char),
-    /// Execute a C0 control (BEL, BS, HT, LF, VT, FF, CR, SO, SI).
-    Control(u8),
+/// What the parser dispatches onto: the terminal emulator, in production.
+///
+/// Slice arguments borrow the parser's buffers and are valid only for the
+/// duration of the call.
+pub trait Perform {
+    /// Prints one character at the cursor.
+    fn print(&mut self, c: char);
+
+    /// Prints a run of printable ASCII bytes (0x20–0x7e). Must behave
+    /// exactly like calling [`Self::print`] on each byte in order, which
+    /// is what the default does.
+    fn print_ascii(&mut self, run: &[u8]) {
+        for &b in run {
+            self.print(char::from(b));
+        }
+    }
+
+    /// Executes a C0 control (BEL, BS, HT, LF, VT, FF, CR, SO, SI).
+    fn execute(&mut self, byte: u8);
+
     /// A completed escape sequence: `ESC intermediates* final`.
-    Esc { intermediates: Vec<u8>, byte: u8 },
-    /// A completed control sequence: `CSI private? params intermediates* final`.
-    Csi {
-        /// Leading private marker (`?`, `>`, `<`, `=`) if present.
-        private: Option<u8>,
-        /// Numeric parameters; empty slots default to 0.
-        params: Vec<u16>,
-        /// Intermediate bytes (0x20–0x2f).
-        intermediates: Vec<u8>,
-        /// Final byte (0x40–0x7e).
-        byte: u8,
-    },
+    fn esc_dispatch(&mut self, intermediates: &[u8], byte: u8);
+
+    /// A completed control sequence: `CSI private? params intermediates*
+    /// final`. `private` is a leading `?`, `>`, `<` or `=`; empty
+    /// parameter slots are 0; intermediates are 0x20–0x2f; the final byte
+    /// is 0x40–0x7e.
+    fn csi_dispatch(&mut self, private: Option<u8>, params: &[u16], intermediates: &[u8], byte: u8);
+
     /// A completed operating-system command string (title setting etc.).
-    Osc { data: Vec<u8> },
+    fn osc_dispatch(&mut self, data: &[u8]);
+}
+
+/// True for the bytes a ground-state run may contain.
+fn printable_ascii(b: u8) -> bool {
+    (0x20..0x7f).contains(&b)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,18 +86,44 @@ enum State {
     StringIgnore,
 }
 
-/// The streaming parser. Feed bytes; collect [`Action`]s.
+/// The streaming parser. Feed bytes; it calls a [`Perform`] sink.
 ///
 /// # Examples
 ///
 /// ```
-/// use mosh_terminal::parser::{Action, Parser};
+/// use mosh_terminal::parser::{Parser, Perform};
 ///
-/// let mut p = Parser::new();
-/// let actions = p.input(b"a\x1b[1;31mb");
-/// assert_eq!(actions[0], Action::Print('a'));
-/// assert!(matches!(actions[1], Action::Csi { byte: b'm', .. }));
-/// assert_eq!(actions[2], Action::Print('b'));
+/// /// Records what the parser dispatches.
+/// #[derive(Default)]
+/// struct Log(Vec<String>);
+///
+/// impl Perform for Log {
+///     fn print(&mut self, c: char) {
+///         self.0.push(format!("print {c}"));
+///     }
+///     fn print_ascii(&mut self, run: &[u8]) {
+///         self.0.push(format!("text {}", String::from_utf8_lossy(run)));
+///     }
+///     fn execute(&mut self, byte: u8) {
+///         self.0.push(format!("execute {byte:#04x}"));
+///     }
+///     fn esc_dispatch(&mut self, _: &[u8], byte: u8) {
+///         self.0.push(format!("esc {}", char::from(byte)));
+///     }
+///     fn csi_dispatch(&mut self, _: Option<u8>, params: &[u16], _: &[u8], byte: u8) {
+///         self.0.push(format!("csi {params:?} {}", char::from(byte)));
+///     }
+///     fn osc_dispatch(&mut self, data: &[u8]) {
+///         self.0.push(format!("osc {}", String::from_utf8_lossy(data)));
+///     }
+/// }
+///
+/// let mut log = Log::default();
+/// Parser::new().advance(b"a b\x1b[1;31m\xc3\xa9!\r\n", &mut log);
+/// assert_eq!(
+///     log.0,
+///     ["text a b", "csi [1, 31] m", "print \u{e9}", "text !", "execute 0x0d", "execute 0x0a"]
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct Parser {
@@ -104,18 +160,28 @@ impl Parser {
         }
     }
 
-    /// Parses a byte slice, returning all completed actions.
-    pub fn input(&mut self, bytes: &[u8]) -> Vec<Action> {
-        let mut actions = Vec::new();
-        for &b in bytes {
+    /// Parses a byte slice, dispatching every completed unit onto `sink`
+    /// (see the module docs for the contract).
+    pub fn advance<P: Perform>(&mut self, bytes: &[u8], sink: &mut P) {
+        let mut i = 0;
+        while i < bytes.len() {
+            if self.state == State::Ground && !self.utf8.pending() && printable_ascii(bytes[i]) {
+                let end = bytes[i..]
+                    .iter()
+                    .position(|&b| !printable_ascii(b))
+                    .map_or(bytes.len(), |n| i + n);
+                sink.print_ascii(&bytes[i..end]);
+                i = end;
+                continue;
+            }
             // Decode UTF-8 first, as Mosh does: the state machine consumes
             // code points, so C1 controls arrive as single characters and a
             // multi-byte character can never be torn by the grammar.
-            for c in self.utf8.push(b) {
-                self.advance(c, &mut actions);
+            for c in self.utf8.push(bytes[i]) {
+                self.step(c, sink);
             }
+            i += 1;
         }
-        actions
     }
 
     /// Serializes the full parser state (including any half-collected
@@ -209,27 +275,15 @@ impl Parser {
         self.intermediates.clear();
     }
 
-    fn advance(&mut self, c: char, out: &mut Vec<Action>) {
+    fn step<P: Perform>(&mut self, c: char, sink: &mut P) {
         let cp = c as u32;
         // C1 controls (from UTF-8 decoding) map onto their ESC equivalents.
         if (0x80..=0x9f).contains(&cp) {
             match cp {
-                0x84 => out.push(Action::Esc {
-                    intermediates: vec![],
-                    byte: b'D',
-                }),
-                0x85 => out.push(Action::Esc {
-                    intermediates: vec![],
-                    byte: b'E',
-                }),
-                0x88 => out.push(Action::Esc {
-                    intermediates: vec![],
-                    byte: b'H',
-                }),
-                0x8d => out.push(Action::Esc {
-                    intermediates: vec![],
-                    byte: b'M',
-                }),
+                0x84 => sink.esc_dispatch(&[], b'D'),
+                0x85 => sink.esc_dispatch(&[], b'E'),
+                0x88 => sink.esc_dispatch(&[], b'H'),
+                0x8d => sink.esc_dispatch(&[], b'M'),
                 0x9b => {
                     self.clear_sequence();
                     self.state = State::CsiEntry;
@@ -253,17 +307,17 @@ impl Parser {
         }
 
         match self.state {
-            State::Ground => self.ground(c, out),
-            State::Escape => self.escape(c, out),
-            State::EscapeIntermediate => self.escape_intermediate(c, out),
-            State::CsiEntry | State::CsiParam | State::CsiIntermediate => self.csi(c, out),
-            State::CsiIgnore => self.csi_ignore(c, out),
-            State::OscString => self.osc_string(c, out),
+            State::Ground => self.ground(c, sink),
+            State::Escape => self.escape(c, sink),
+            State::EscapeIntermediate => self.escape_intermediate(c, sink),
+            State::CsiEntry | State::CsiParam | State::CsiIntermediate => self.csi(c, sink),
+            State::CsiIgnore => self.csi_ignore(c, sink),
+            State::OscString => self.osc_string(c, sink),
             State::StringIgnore => self.string_ignore(c),
         }
     }
 
-    fn execute_c0(&mut self, c: char, out: &mut Vec<Action>) -> bool {
+    fn execute_c0<P: Perform>(&mut self, c: char, sink: &mut P) -> bool {
         let b = c as u32;
         match b {
             0x1b => {
@@ -277,7 +331,7 @@ impl Parser {
                 true
             }
             0x07..=0x0f => {
-                out.push(Action::Control(b as u8));
+                sink.execute(b as u8);
                 true
             }
             0x00..=0x1f => true, // Other C0: ignored.
@@ -286,13 +340,13 @@ impl Parser {
         }
     }
 
-    fn ground(&mut self, c: char, out: &mut Vec<Action>) {
-        if !self.execute_c0(c, out) {
-            out.push(Action::Print(c));
+    fn ground<P: Perform>(&mut self, c: char, sink: &mut P) {
+        if !self.execute_c0(c, sink) {
+            sink.print(c);
         }
     }
 
-    fn escape(&mut self, c: char, out: &mut Vec<Action>) {
+    fn escape<P: Perform>(&mut self, c: char, sink: &mut P) {
         let b = c as u32;
         match b {
             0x5b => {
@@ -316,21 +370,19 @@ impl Parser {
                 self.state = State::EscapeIntermediate;
             }
             0x30..=0x7e => {
-                out.push(Action::Esc {
-                    intermediates: std::mem::take(&mut self.intermediates),
-                    byte: b as u8,
-                });
+                sink.esc_dispatch(&self.intermediates, b as u8);
+                self.intermediates.clear();
                 self.state = State::Ground;
             }
             _ => {
-                if !self.execute_c0(c, out) {
+                if !self.execute_c0(c, sink) {
                     self.state = State::Ground;
                 }
             }
         }
     }
 
-    fn escape_intermediate(&mut self, c: char, out: &mut Vec<Action>) {
+    fn escape_intermediate<P: Perform>(&mut self, c: char, sink: &mut P) {
         let b = c as u32;
         match b {
             0x20..=0x2f => {
@@ -339,19 +391,17 @@ impl Parser {
                 }
             }
             0x30..=0x7e => {
-                out.push(Action::Esc {
-                    intermediates: std::mem::take(&mut self.intermediates),
-                    byte: b as u8,
-                });
+                sink.esc_dispatch(&self.intermediates, b as u8);
+                self.intermediates.clear();
                 self.state = State::Ground;
             }
             _ => {
-                self.execute_c0(c, out);
+                self.execute_c0(c, sink);
             }
         }
     }
 
-    fn csi(&mut self, c: char, out: &mut Vec<Action>) {
+    fn csi<P: Perform>(&mut self, c: char, sink: &mut P) {
         let b = c as u32;
         match b {
             0x30..=0x39 => {
@@ -407,40 +457,34 @@ impl Parser {
                 self.state = State::CsiIntermediate;
             }
             0x40..=0x7e => {
-                out.push(Action::Csi {
-                    private: self.private.take(),
-                    params: std::mem::take(&mut self.params),
-                    intermediates: std::mem::take(&mut self.intermediates),
-                    byte: b as u8,
-                });
-                self.param_started = false;
+                sink.csi_dispatch(self.private, &self.params, &self.intermediates, b as u8);
+                self.clear_sequence();
                 self.state = State::Ground;
             }
             _ => {
-                self.execute_c0(c, out);
+                self.execute_c0(c, sink);
             }
         }
     }
 
-    fn csi_ignore(&mut self, c: char, out: &mut Vec<Action>) {
+    fn csi_ignore<P: Perform>(&mut self, c: char, sink: &mut P) {
         let b = c as u32;
         match b {
             0x40..=0x7e => self.state = State::Ground,
             _ => {
-                self.execute_c0(c, out);
+                self.execute_c0(c, sink);
             }
         }
     }
 
-    fn osc_string(&mut self, c: char, out: &mut Vec<Action>) {
+    fn osc_string<P: Perform>(&mut self, c: char, sink: &mut P) {
         let b = c as u32;
         if self.string_esc {
             self.string_esc = false;
             if b == 0x5c {
                 // ESC \ = ST: terminate.
-                out.push(Action::Osc {
-                    data: std::mem::take(&mut self.osc),
-                });
+                sink.osc_dispatch(&self.osc);
+                self.osc.clear();
                 self.state = State::Ground;
                 return;
             }
@@ -448,15 +492,14 @@ impl Parser {
             self.osc.clear();
             self.clear_sequence();
             self.state = State::Escape;
-            self.escape(c, out);
+            self.escape(c, sink);
             return;
         }
         match b {
             0x07 => {
                 // BEL terminator (xterm convention).
-                out.push(Action::Osc {
-                    data: std::mem::take(&mut self.osc),
-                });
+                sink.osc_dispatch(&self.osc);
+                self.osc.clear();
                 self.state = State::Ground;
             }
             0x1b => {
@@ -497,8 +540,123 @@ impl Parser {
 mod tests {
     use super::*;
 
+    /// One sink call, for asserting on what the parser dispatched.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Action {
+        Print(char),
+        Control(u8),
+        Esc {
+            intermediates: Vec<u8>,
+            byte: u8,
+        },
+        Csi {
+            private: Option<u8>,
+            params: Vec<u16>,
+            intermediates: Vec<u8>,
+            byte: u8,
+        },
+        Osc {
+            data: Vec<u8>,
+        },
+    }
+
+    /// Collects every call; ASCII runs arrive through the default
+    /// `print_ascii`, one `Print` per byte.
+    #[derive(Default)]
+    struct Collect(Vec<Action>);
+
+    impl Perform for Collect {
+        fn print(&mut self, c: char) {
+            self.0.push(Action::Print(c));
+        }
+        fn execute(&mut self, byte: u8) {
+            self.0.push(Action::Control(byte));
+        }
+        fn esc_dispatch(&mut self, intermediates: &[u8], byte: u8) {
+            self.0.push(Action::Esc {
+                intermediates: intermediates.to_vec(),
+                byte,
+            });
+        }
+        fn csi_dispatch(
+            &mut self,
+            private: Option<u8>,
+            params: &[u16],
+            intermediates: &[u8],
+            byte: u8,
+        ) {
+            self.0.push(Action::Csi {
+                private,
+                params: params.to_vec(),
+                intermediates: intermediates.to_vec(),
+                byte,
+            });
+        }
+        fn osc_dispatch(&mut self, data: &[u8]) {
+            self.0.push(Action::Osc {
+                data: data.to_vec(),
+            });
+        }
+    }
+
+    fn feed(p: &mut Parser, bytes: &[u8]) -> Vec<Action> {
+        let mut sink = Collect::default();
+        p.advance(bytes, &mut sink);
+        sink.0
+    }
+
     fn parse(bytes: &[u8]) -> Vec<Action> {
-        Parser::new().input(bytes)
+        feed(&mut Parser::new(), bytes)
+    }
+
+    /// Records ASCII runs separately from single prints.
+    #[derive(Default)]
+    struct Runs(Vec<String>);
+
+    impl Perform for Runs {
+        fn print(&mut self, c: char) {
+            self.0.push(format!("print {c}"));
+        }
+        fn print_ascii(&mut self, run: &[u8]) {
+            self.0.push(String::from_utf8(run.to_vec()).expect("ascii"));
+        }
+        fn execute(&mut self, byte: u8) {
+            self.0.push(format!("execute {byte}"));
+        }
+        fn esc_dispatch(&mut self, _: &[u8], byte: u8) {
+            self.0.push(format!("esc {byte}"));
+        }
+        fn csi_dispatch(&mut self, _: Option<u8>, _: &[u16], _: &[u8], byte: u8) {
+            self.0.push(format!("csi {byte}"));
+        }
+        fn osc_dispatch(&mut self, _: &[u8]) {
+            self.0.push("osc".into());
+        }
+    }
+
+    #[test]
+    fn ground_ascii_arrives_as_maximal_runs() {
+        let mut p = Parser::new();
+        let mut sink = Runs::default();
+        // Runs end at controls, sequences, DEL and non-ASCII characters;
+        // sequence contents and a pending UTF-8 byte never join a run.
+        p.advance(b"ab c\rde\x1b[1mf\x7fg\xc3", &mut sink);
+        p.advance(b"\xa9hi\x1b]0;t\x07jk", &mut sink);
+        assert_eq!(
+            sink.0,
+            [
+                "ab c",
+                "execute 13",
+                "de",
+                "csi 109",
+                "f",
+                "g",
+                "print \u{e9}",
+                "hi",
+                "osc",
+                "jk"
+            ]
+        );
     }
 
     #[test]
@@ -728,9 +886,9 @@ mod tests {
         }
         seq.push(b'm');
         // Sequence is ignored (CsiIgnore) but parsing continues cleanly.
-        let a = Parser::new().input(&seq);
-        assert!(a.is_empty());
-        assert_eq!(Parser::new().input(b"x"), vec![Action::Print('x')]);
+        let mut p = Parser::new();
+        assert!(feed(&mut p, &seq).is_empty());
+        assert_eq!(feed(&mut p, b"x"), vec![Action::Print('x')]);
     }
 
     #[test]
@@ -756,9 +914,9 @@ mod tests {
     #[test]
     fn split_input_across_calls() {
         let mut p = Parser::new();
-        let mut a = p.input(b"\x1b[3");
+        let mut a = feed(&mut p, b"\x1b[3");
         assert!(a.is_empty());
-        a = p.input(b"1m");
+        a = feed(&mut p, b"1m");
         assert_eq!(
             a,
             vec![Action::Csi {

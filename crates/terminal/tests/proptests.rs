@@ -219,17 +219,22 @@ proptest! {
         prop_assert_eq!(client.frame(), &target);
     }
 
-    /// Parsing in one call equals parsing byte-by-byte (chunking invariance).
+    /// Parsing in one call equals parsing in pieces (chunking invariance):
+    /// the cuts fall anywhere — inside ASCII runs, escape sequences and
+    /// UTF-8 characters — and the whole emulator state, parser included,
+    /// must come out the same.
     #[test]
-    fn chunking_does_not_change_result(bytes in terminal_bytes(), split in any::<prop::sample::Index>()) {
+    fn chunking_does_not_change_result(
+        bytes in terminal_bytes(),
+        cuts in proptest::collection::vec(any::<prop::sample::Index>(), 1..6),
+    ) {
         let mut whole = Terminal::new(40, 10);
         whole.write(&bytes);
 
-        let cut = split.index(bytes.len().max(1)).min(bytes.len());
         let mut parts = Terminal::new(40, 10);
-        parts.write(&bytes[..cut]);
-        parts.write(&bytes[cut..]);
+        write_in_pieces(&mut parts, &bytes, &cuts);
         prop_assert_eq!(whole.frame(), parts.frame());
+        prop_assert_eq!(whole.snapshot_bytes(), parts.snapshot_bytes());
     }
 
     /// Damage soundness (`Grid.tla`'s `DamageSound`): whatever a row's
@@ -353,6 +358,117 @@ proptest! {
             );
         }
     }
+}
+
+proptest! {
+    // Small screens make each case cheap, and the boundary cases (a run
+    // starting or ending on half of a wide pair, at the margin, on a full
+    // scrollback) need many draws to hit.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The ASCII run writer (`Terminal::write` of printable ASCII, cut
+    /// anywhere) against per-character `Framebuffer::print`, the oracle,
+    /// from any reachable screen: the frame (cells and cursor), pending
+    /// wrap, every scrollback row, the damage each row claims against a
+    /// retained snapshot, and what a following REP plus one more
+    /// character produce (they read `last_printed` and `wrap_pending`).
+    /// Without a retained snapshot the scrolls reuse evicted history
+    /// rows; with one they cannot, so both scroll paths are covered.
+    #[test]
+    fn ascii_runs_match_per_character_print(
+        screen in run_screen_bytes(),
+        place in (any::<bool>(), 1u16..8, 1u16..24),
+        fill in 0usize..12,
+        limit in 0usize..6,
+        w in 1usize..24,
+        h in 1usize..7,
+        run in "[ -~]{0,160}",
+        cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..4),
+        keep_snapshot in any::<bool>(),
+    ) {
+        let build = || {
+            let mut t = Terminal::new(w, h);
+            t.frame_mut().set_scrollback_limit(limit);
+            for i in 0..fill {
+                t.write(format!("{i}\r\n").as_bytes());
+            }
+            t.write(&screen);
+            // Half the runs start from an explicit cell (often half of a
+            // wide pair); the rest wherever the screen left the cursor,
+            // possibly with a wrap pending.
+            if place.0 {
+                t.write(format!("\x1b[{};{}H", place.1, place.2).as_bytes());
+            }
+            t
+        };
+        let mut fast = build();
+        let mut oracle = build();
+        let snapshots = keep_snapshot.then(|| (fast.frame().clone(), oracle.frame().clone()));
+
+        write_in_pieces(&mut fast, run.as_bytes(), &cuts);
+        for ch in run.chars() {
+            oracle.frame_mut().print(ch);
+        }
+        prop_assert_eq!(fast.frame(), oracle.frame());
+        prop_assert_eq!(fast.frame().wrap_pending(), oracle.frame().wrap_pending());
+        prop_assert_eq!(history(fast.frame()), history(oracle.frame()));
+        if let Some((fast_snap, oracle_snap)) = &snapshots {
+            for r in 0..h {
+                prop_assert_eq!(
+                    fast.frame().row(r).delta_from(fast_snap.row(r)),
+                    oracle.frame().row(r).delta_from(oracle_snap.row(r)),
+                    "row {} damage claim",
+                    r
+                );
+            }
+        }
+
+        fast.write(b"\x1b[3bZ");
+        oracle.write(b"\x1b[3bZ");
+        prop_assert_eq!(fast.frame(), oracle.frame());
+        prop_assert_eq!(history(fast.frame()), history(oracle.frame()));
+    }
+}
+
+/// Writes `bytes` in pieces, cut at the given points (sorted first).
+fn write_in_pieces(term: &mut Terminal, bytes: &[u8], cuts: &[prop::sample::Index]) {
+    let mut at: Vec<usize> = cuts.iter().map(|c| c.index(bytes.len() + 1)).collect();
+    at.sort_unstable();
+    let mut from = 0;
+    for cut in at {
+        term.write(&bytes[from..cut]);
+        from = cut;
+    }
+    term.write(&bytes[from..]);
+}
+
+/// Every scrollback row, newest first.
+fn history(frame: &mosh_terminal::Framebuffer) -> Vec<mosh_terminal::Row> {
+    (0..frame.scrollback_len())
+        .map(|i| frame.history_row(i).clone())
+        .collect()
+}
+
+/// Screens an ASCII run must print through exactly: `terminal_bytes()`
+/// plus rows of wide pairs, insert mode, autowrap off, DEC line drawing
+/// left on, scroll regions (DECSTBM) and the alternate screen.
+fn run_screen_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let chunk = prop_oneof![
+        terminal_bytes(),
+        (1u16..8, 1u16..24)
+            .prop_map(|(r, c)| format!("\x1b[{r};{c}H漢字漢字漢字漢字漢字漢字").into_bytes()),
+        (1u16..8, 1u16..24).prop_map(|(r, c)| format!("\x1b[{r};{c}H漢").into_bytes()),
+        Just(b"\x1b[4h".to_vec()),
+        Just(b"\x1b[4l".to_vec()),
+        Just(b"\x1b[?7l".to_vec()),
+        Just(b"\x1b[?7h".to_vec()),
+        Just(b"\x1b(0".to_vec()),
+        Just(b"\x1b(B".to_vec()),
+        (1u16..4, 2u16..8).prop_map(|(t, b)| format!("\x1b[{t};{b}r").into_bytes()),
+        Just(b"\x1b[?1049h".to_vec()),
+        Just(b"\x1b[?1049l".to_vec()),
+    ];
+    proptest::collection::vec(chunk, 0..8).prop_map(|chunks| chunks.concat())
 }
 
 /// One step of the viewport-bounds walk.
