@@ -194,7 +194,7 @@ impl Default for Cell {
 impl Cell {
     /// A blank (space) cell carrying the given renditions; erase operations
     /// use the current background color (BCE semantics, like xterm).
-    pub fn blank(attrs: Attrs) -> Self {
+    pub const fn blank(attrs: Attrs) -> Self {
         Cell {
             ch: ' ',
             wide_continuation: false,

@@ -693,6 +693,46 @@ mod tests {
         assert_eq!(r.frame(), t.frame());
     }
 
+    /// Blank rows own no cells: a fresh screen stores none, a prompt
+    /// stores its one row, a resize keeps the blanks storage-free, and a
+    /// default-background ED 2 gives the storage back.
+    #[test]
+    fn blank_rows_own_no_cells() {
+        let mut t = Terminal::new(80, 24);
+        assert_eq!(t.frame().stored_rows(), 0);
+        t.write(b"$ ");
+        assert_eq!(t.frame().stored_rows(), 1);
+        t.resize(100, 30);
+        assert_eq!(t.frame().stored_rows(), 1);
+        t.write(b"\x1b[2J");
+        assert_eq!(t.frame().stored_rows(), 0);
+        assert_eq!(t.frame().to_text(), "");
+    }
+
+    /// A colored-background (BCE) erase leaves colored cells, which keep
+    /// real storage; a default-background EL 2 frees its row again.
+    #[test]
+    fn bce_erase_keeps_storage() {
+        let mut t = Terminal::new(80, 24);
+        t.write(b"\x1b[44m\x1b[2J");
+        assert_eq!(t.frame().stored_rows(), 24);
+        assert_eq!(t.frame().cell(23, 79).attrs.bg, Color::Indexed(4));
+        t.write(b"\x1b[0m\x1b[2K");
+        assert_eq!(t.frame().stored_rows(), 23);
+    }
+
+    /// Snapshot decode keeps blank rows storage-free, so migration,
+    /// resurrection and handoff do not re-inflate an idle session.
+    #[test]
+    fn restored_prompt_screen_stays_lean() {
+        let mut t = Terminal::new(80, 24);
+        t.write(b"Welcome!\r\n\r\n$ ");
+        assert_eq!(t.frame().stored_rows(), 2);
+        let r = Terminal::from_snapshot_bytes(&t.snapshot_bytes()).expect("decodes");
+        assert_eq!(r.frame(), t.frame());
+        assert_eq!(r.frame().stored_rows(), t.frame().stored_rows());
+    }
+
     #[test]
     fn vim_like_screen_setup() {
         // The typical curses app preamble: alt screen, clear, draw status.

@@ -37,12 +37,28 @@
 //! that snapshot and a new row is allocated instead. A reused row starts
 //! a new lineage under a fresh damage id, exactly like a newly allocated
 //! one, so no damage claim can ever link it to the history line it was.
+//!
+//! # Storage-free blank rows
+//!
+//! Most rows of an idle screen are blank, so a row that is all default
+//! blanks owns no cells: it records only its width and serves
+//! [`Row::cells`] from one shared static blank slice. Such a row comes
+//! from [`Row::blank`] with the default background (new screens,
+//! scroll-in, IL/DL, resize padding, the alternate screen, RIS), from a
+//! whole-row erase to the default blank (ED 2, EL 2), and from snapshot
+//! decode of a row encoded as one full-width default-blank run. Every
+//! write reaches cells through `Row::stamp`, which materialises the
+//! storage first, so no writer can see the static slice. A storage-free
+//! row still carries its own damage metadata (id, generation, dirty
+//! range) like any other row: ids stay per position, so the
+//! `delta_from` claims hold unchanged. A colored-background (BCE) blank
+//! and any row wider than the static slice keep real storage.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::cell::{Attrs, Cell};
+use crate::cell::{Attrs, Cell, Color};
 
 /// Rows of scrollback a fresh framebuffer retains (see
 /// [`Framebuffer::set_scrollback_limit`]).
@@ -59,11 +75,28 @@ fn next_stamp() -> u64 {
     DAMAGE_CLOCK.fetch_add(1, Ordering::Relaxed)
 }
 
+/// The default blank: what a fresh screen and a default-background erase
+/// hold in every cell.
+const BLANK: Cell = Cell::blank(Attrs::background(Color::Default));
+
+/// The cells every storage-free row serves; rows wider than this keep
+/// real storage.
+static BLANK_CELLS: [Cell; 1024] = [BLANK; 1024];
+
+/// True when a blank row of this width and background can be storage-free.
+fn storage_free(width: usize, bg: Color) -> bool {
+    bg == Color::Default && width <= BLANK_CELLS.len()
+}
+
 /// Shared row storage plus its damage metadata.
 #[derive(Debug, Clone)]
 struct RowData {
-    /// The row's cells, always exactly `width` long.
+    /// The row's cells, exactly `width` long; empty while the row is
+    /// storage-free.
     cells: Vec<Cell>,
+    /// The width of a storage-free row (all [`BLANK`]), 0 when the row
+    /// owns its cells.
+    blank: u32,
     /// Creation-lineage identifier: preserved by copy-on-write, fresh for
     /// newly created rows. Two rows with the same id descend from the same
     /// creation event.
@@ -84,6 +117,7 @@ impl RowData {
         let stamp = next_stamp();
         RowData {
             cells,
+            blank: 0,
             id: stamp,
             gen: stamp,
             range_base: stamp,
@@ -92,10 +126,26 @@ impl RowData {
         }
     }
 
+    /// Storage-free default blanks starting a new lineage.
+    fn blank(width: usize) -> Self {
+        RowData {
+            blank: width as u32,
+            ..RowData::new(Vec::new())
+        }
+    }
+
     /// Widens the dirty range to cover the inclusive column span.
     fn mark(&mut self, lo: usize, hi: usize) {
         self.dirty_lo = self.dirty_lo.min(lo as u32);
         self.dirty_hi = self.dirty_hi.max(hi as u32);
+    }
+
+    /// Gives a storage-free row real cells holding the same blanks.
+    fn materialize(&mut self) {
+        if self.blank > 0 {
+            self.cells.resize(self.blank as usize, BLANK);
+            self.blank = 0;
+        }
     }
 }
 
@@ -123,7 +173,14 @@ pub enum RowDelta {
 
 impl Row {
     /// A row of blank cells carrying only the given background color.
-    pub fn blank(width: usize, bg: crate::cell::Color) -> Self {
+    /// With the default background it owns no cell storage (see the
+    /// module docs).
+    pub fn blank(width: usize, bg: Color) -> Self {
+        if storage_free(width, bg) {
+            return Row {
+                data: Arc::new(RowData::blank(width)),
+            };
+        }
         Row::from_cells(vec![Cell::blank(Attrs::background(bg)); width])
     }
 
@@ -134,21 +191,43 @@ impl Row {
     }
 
     /// This row's storage blanked for reuse under a fresh damage id, when
-    /// no other handle shares it; otherwise a newly allocated blank row.
-    fn reblank(mut self, width: usize, bg: crate::cell::Color) -> Self {
+    /// no other handle shares it; otherwise a new [`Row::blank`]. Cells the
+    /// row owns are kept (the next write needs them); a storage-free row
+    /// stays storage-free when the blank allows it.
+    fn reblank(mut self, width: usize, bg: Color) -> Self {
         let Some(d) = Arc::get_mut(&mut self.data) else {
             return Row::blank(width, bg);
         };
-        let mut cells = std::mem::take(&mut d.cells);
-        cells.clear();
-        cells.resize(width, Cell::blank(Attrs::background(bg)));
-        *d = RowData::new(cells);
+        *d = if d.blank > 0 && storage_free(width, bg) {
+            RowData::blank(width)
+        } else {
+            let mut cells = std::mem::take(&mut d.cells);
+            cells.clear();
+            cells.resize(width, Cell::blank(Attrs::background(bg)));
+            RowData::new(cells)
+        };
         self
     }
 
     /// The row's cells, always exactly the screen width.
     pub fn cells(&self) -> &[Cell] {
-        &self.data.cells
+        match self.data.blank {
+            0 => &self.data.cells,
+            w => &BLANK_CELLS[..w as usize],
+        }
+    }
+
+    /// True when the row owns cell storage (it is not storage-free).
+    #[cfg(test)]
+    pub(crate) fn is_stored(&self) -> bool {
+        self.data.blank == 0
+    }
+
+    /// Gives a storage-free row real cells without a new stamp: the
+    /// content, and so every damage claim, is unchanged.
+    #[cfg(test)]
+    pub(crate) fn materialize(&mut self) {
+        Arc::make_mut(&mut self.data).materialize();
     }
 
     /// True when both handles share the same storage (trivially identical).
@@ -156,22 +235,50 @@ impl Row {
         Arc::ptr_eq(&a.data, &b.data)
     }
 
-    /// Damage-stamped mutable access: copies shared storage (restarting the
-    /// dirty range, since the shared snapshot is the new comparison base)
-    /// and takes a fresh generation stamp. The caller must [`RowData::mark`]
-    /// every column it changes.
-    fn stamp(&mut self) -> &mut RowData {
+    /// Exclusive access to the row's metadata under a fresh generation
+    /// stamp. Shared storage is detached first, restarting the dirty range
+    /// (the shared snapshot is the new comparison base); its cells are
+    /// copied only when `keep_cells`, else the copy holds none.
+    fn restamp(&mut self, keep_cells: bool) -> &mut RowData {
         // `strong_count == 1` means no other handle exists that anyone could
-        // clone from, so the flag cannot go stale before `make_mut` below.
-        let shared = Arc::strong_count(&self.data) > 1;
-        let d = Arc::make_mut(&mut self.data);
-        if shared {
-            d.range_base = d.gen;
-            d.dirty_lo = u32::MAX;
-            d.dirty_hi = 0;
+        // clone from, so the check cannot go stale before `make_mut` below,
+        // which then never copies.
+        if Arc::strong_count(&self.data) > 1 {
+            let s = &*self.data;
+            self.data = Arc::new(RowData {
+                cells: if keep_cells {
+                    s.cells.clone()
+                } else {
+                    Vec::new()
+                },
+                range_base: s.gen,
+                dirty_lo: u32::MAX,
+                dirty_hi: 0,
+                ..*s
+            });
         }
+        let d = Arc::make_mut(&mut self.data);
         d.gen = next_stamp();
         d
+    }
+
+    /// Damage-stamped mutable access to real cells: [`Self::restamp`],
+    /// materialising a storage-free row. This is the only way to the
+    /// cells. The caller must [`RowData::mark`] every column it changes.
+    fn stamp(&mut self) -> &mut RowData {
+        let d = self.restamp(true);
+        d.materialize();
+        d
+    }
+
+    /// Makes the row storage-free default blanks, `width` wide, under a
+    /// fresh stamp with the whole row dirty. The caller checks
+    /// [`storage_free`].
+    fn clear(&mut self, width: usize) {
+        let d = self.restamp(false);
+        d.cells = Vec::new();
+        d.blank = width as u32;
+        d.mark(0, width - 1);
     }
 
     /// [`Self::stamp`], with the dirty range widened to cover the inclusive
@@ -185,6 +292,9 @@ impl Row {
     /// Pads or truncates to `width`, marking the whole row damaged.
     /// `fix_wide` blanks a wide lead left dangling in the last column.
     fn set_width(&mut self, width: usize, fix_wide: bool) {
+        if self.data.blank > 0 && storage_free(width, Color::Default) {
+            return self.clear(width);
+        }
         let cells = self.touch(0, width.saturating_sub(1));
         if width < cells.len() {
             cells.truncate(width);
@@ -231,7 +341,7 @@ impl Row {
 /// server that generated them — must still compare equal.
 impl PartialEq for Row {
     fn eq(&self, other: &Self) -> bool {
-        self.data.cells == other.data.cells
+        self.cells() == other.cells()
     }
 }
 
@@ -239,7 +349,7 @@ impl Eq for Row {}
 
 impl std::hash::Hash for Row {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.data.cells.hash(state);
+        self.cells().hash(state);
     }
 }
 
@@ -440,7 +550,7 @@ impl Framebuffer {
             // let sibling rows diverge under one id.
             grid: Ring::new(
                 (0..height)
-                    .map(|_| Row::blank(width, crate::cell::Color::Default))
+                    .map(|_| Row::blank(width, Color::Default))
                     .collect(),
             ),
             cursor: Cursor { row: 0, col: 0 },
@@ -839,6 +949,9 @@ impl Framebuffer {
         let erase = self.erase_cell();
         let width = self.width;
         let r = self.grid.get_mut(row);
+        if lo == 0 && hi == width - 1 && storage_free(width, erase.attrs.bg) {
+            return r.clear(width);
+        }
         let cells = r.cells();
         let lo = if cells[lo].wide_continuation && lo > 0 {
             lo - 1
@@ -1167,7 +1280,7 @@ impl Framebuffer {
         // Distinct damage ids per position — see `Framebuffer::new`.
         let blank = Ring::new(
             (0..self.height)
-                .map(|_| Row::blank(self.width, crate::cell::Color::Default))
+                .map(|_| Row::blank(self.width, Color::Default))
                 .collect(),
         );
         let mut saved = std::mem::replace(&mut self.grid, blank);
@@ -1251,7 +1364,7 @@ impl Framebuffer {
         } else {
             let pad = height - rows.len();
             // Distinct damage ids per position — see `Framebuffer::new`.
-            rows.extend((0..pad).map(|_| Row::blank(width, crate::cell::Color::Default)));
+            rows.extend((0..pad).map(|_| Row::blank(width, Color::Default)));
         }
         self.grid = Ring::new(rows);
         // The alternate-screen stash must track the new size too.
@@ -1265,7 +1378,7 @@ impl Framebuffer {
                 rows.truncate(height);
             } else {
                 let pad = height - rows.len();
-                rows.extend((0..pad).map(|_| Row::blank(width, crate::cell::Color::Default)));
+                rows.extend((0..pad).map(|_| Row::blank(width, Color::Default)));
             }
             cursor.row = cursor.row.min(height - 1);
             cursor.col = cursor.col.min(width - 1);
@@ -1545,6 +1658,24 @@ impl Framebuffer {
     // Test / debugging helpers.
     // ------------------------------------------------------------------
 
+    /// How many of the framebuffer's rows (grid, alternate-screen stash
+    /// and scrollback) own cell storage.
+    #[cfg(test)]
+    pub(crate) fn stored_rows(&self) -> usize {
+        let stash = self.alt_saved.iter().flat_map(|(rows, _)| rows);
+        let rows = self.grid.buf.iter().chain(stash).chain(&self.scrollback);
+        rows.filter(|r| r.is_stored()).count()
+    }
+
+    /// Gives every storage-free row real cells, changing no content and
+    /// no damage metadata.
+    #[cfg(test)]
+    pub(crate) fn materialize_rows(&mut self) {
+        let stash = self.alt_saved.iter_mut().flat_map(|(rows, _)| rows);
+        let rows = self.grid.buf.iter_mut().chain(stash);
+        rows.chain(&mut self.scrollback).for_each(Row::materialize);
+    }
+
     /// The visible text of one row, with trailing blanks trimmed.
     pub fn row_text(&self, row: usize) -> String {
         let mut s: String = self
@@ -1572,8 +1703,7 @@ impl Framebuffer {
     }
 }
 
-fn encode_color(out: &mut Vec<u8>, c: crate::cell::Color) {
-    use crate::cell::Color;
+fn encode_color(out: &mut Vec<u8>, c: Color) {
     match c {
         Color::Default => out.push(0),
         Color::Indexed(n) => {
@@ -1587,8 +1717,7 @@ fn encode_color(out: &mut Vec<u8>, c: crate::cell::Color) {
     }
 }
 
-fn decode_color(r: &mut crate::wirefmt::Reader<'_>) -> Option<crate::cell::Color> {
-    use crate::cell::Color;
+fn decode_color(r: &mut crate::wirefmt::Reader<'_>) -> Option<Color> {
     match r.byte()? {
         0 => Some(Color::Default),
         1 => Some(Color::Indexed(r.byte()?)),
@@ -1649,14 +1778,20 @@ fn encode_row(out: &mut Vec<u8>, row: &Row) {
     }
 }
 
+/// A row encoded as one full-width run of the default blank decodes
+/// storage-free, so a restored idle screen is as lean as the original.
 fn decode_row(r: &mut crate::wirefmt::Reader<'_>, width: usize) -> Option<Row> {
-    let mut cells = Vec::with_capacity(width);
+    let mut cells = Vec::new();
     while cells.len() < width {
         let run = r.varint()? as usize;
         if run == 0 || run > width - cells.len() {
             return None;
         }
         let cell = decode_cell(r)?;
+        if run == width && cell == BLANK {
+            return Some(Row::blank(width, Color::Default));
+        }
+        cells.reserve_exact(width - cells.len());
         cells.extend(std::iter::repeat_n(cell, run));
     }
     Some(Row::from_cells(cells))
@@ -1665,7 +1800,6 @@ fn decode_row(r: &mut crate::wirefmt::Reader<'_>, width: usize) -> Option<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::Color;
 
     /// Every flag combination keeps the byte the per-`bool` codec wrote
     /// (bold in bit 0 through strikethrough in bit 7) and decodes back to

@@ -37,6 +37,8 @@ pub mod display;
 pub mod emulator;
 pub mod framebuffer;
 pub mod parser;
+#[cfg(test)]
+mod storage_free_tests;
 pub mod utf8;
 pub mod width;
 mod wirefmt;
